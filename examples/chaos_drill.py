@@ -3,10 +3,10 @@
 
 Two phases against :class:`repro.serving.ModExpService`:
 
-1. **Chaos batch** — 200 requests through a process pool while the
-   seeded fault plan kills workers, injects backend exceptions and flips
-   result bits (5% each).  Online verification + retries + pool respawn
-   must deliver every result equal to ``pow(x, e, N)`` — the run fails
+1. **Chaos batch** — 200 requests through shard worker processes while
+   the seeded fault plan kills workers, injects backend exceptions and
+   flips result bits (5% each).  Online verification + retries + shard
+   respawn with exactly-once requeue must deliver every result equal to ``pow(x, e, N)`` — the run fails
    loudly otherwise, and any silently corrupted value is counted into
    the ``serving.silent_corruptions`` metric (the CI gate asserts it
    stays 0).
@@ -57,7 +57,7 @@ def chaos_batch() -> int:
     with ModExpService(
         backend="integer",
         workers=4,
-        worker_kind="process",
+        worker_kind="shard",
         chaos=ChaosConfig(
             seed=13,
             worker_kill_rate=0.05,
@@ -85,7 +85,7 @@ def chaos_batch() -> int:
     print(
         f"phase 1 — chaos batch: {REQUESTS} requests in {wall:.2f}s, "
         f"{failed} failed, {silent} silent corruptions, "
-        f"{restarts} pool respawn(s)"
+        f"{restarts} worker respawn(s)"
     )
     if failed or silent:
         raise SystemExit(

@@ -214,10 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
         grp.add_argument("--workers", type=int, default=1, help="worker count")
         grp.add_argument(
             "--worker-kind",
-            choices=("auto", "process", "thread", "inline", "shard"),
+            choices=("auto", "thread", "inline", "shard"),
             default="auto",
-            help="worker pool kind (auto: processes when the backend allows; "
-            "shard: modulus-homed warm workers over binary batch frames)",
+            help="data plane (shard: modulus-homed warm worker processes over "
+            "binary batch frames; thread/inline: in-process, any backend; "
+            "auto: shard when the backend allows and --workers > 1)",
         )
         grp.add_argument(
             "--max-batch",
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--queue-limit",
             type=int,
             default=None,
-            help="bounded in-flight window (default: 4 x workers)",
+            help="bounded in-flight window in requests (default: 32 x workers)",
         )
         grp.add_argument(
             "--timeout",
@@ -377,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--chaos-kill-rate",
             type=float,
             default=0.0,
-            help="per-request worker-kill probability (process pools only)",
+            help="per-request worker-kill probability (shard workers only)",
         )
         cha.add_argument("--chaos-exception-rate", type=float, default=0.0)
         cha.add_argument("--chaos-latency-rate", type=float, default=0.0)

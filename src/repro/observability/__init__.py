@@ -10,10 +10,8 @@ Three pieces, designed to be used together but separable:
 * :data:`OBS` + :func:`observe` (:mod:`repro.observability.observer`) —
   the process-wide hook point the instrumented simulators report through,
   a no-op unless a session is installed;
-* :class:`TraceContext` / :class:`WorkerTelemetry`
-  (:mod:`repro.observability.context`) — request-scoped propagation of
-  the session across process boundaries, merged back via
-  :meth:`MetricsRegistry.merge` and :meth:`SpanTracer.adopt_span`;
+* :func:`worker_label` (:mod:`repro.observability.context`) — the
+  ``worker=`` label the serving layer puts on per-worker series;
 * :func:`diff_snapshots` (:mod:`repro.observability.baseline`) — the
   snapshot-vs-baseline regression gate behind ``repro obs diff``;
 * :class:`OccupancyRecorder` + the analytic ``2i+j`` model
@@ -33,12 +31,7 @@ from repro.observability.baseline import (
     diff_snapshots,
     load_snapshot,
 )
-from repro.observability.context import (
-    TraceContext,
-    WorkerTelemetry,
-    capture,
-    worker_label,
-)
+from repro.observability.context import worker_label
 from repro.observability.metrics import (
     Counter,
     Gauge,
@@ -68,7 +61,6 @@ from repro.observability.profiler import (
 )
 from repro.observability.trace import (
     CycleClock,
-    REQUEST_SPAN,
     SpanTracer,
     TRACE_DETAILS,
     validate_chrome_trace,
@@ -99,11 +91,7 @@ __all__ = [
     "CycleClock",
     "SpanTracer",
     "TRACE_DETAILS",
-    "REQUEST_SPAN",
     "validate_chrome_trace",
-    "TraceContext",
-    "WorkerTelemetry",
-    "capture",
     "worker_label",
     "DEFAULT_IGNORE",
     "check_requirements",

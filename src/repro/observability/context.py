@@ -1,124 +1,25 @@
-"""Request-scoped trace propagation across the process boundary.
+"""Worker identity for the serving layer's per-worker metric labels.
 
-The observability layer's :data:`~repro.observability.observer.OBS` hook
-point is a *per-process* singleton: anything a ``ProcessPoolExecutor``
-worker records lands in the worker interpreter's registry and dies with
-the task.  This module carries telemetry across that boundary:
-
-* :class:`TraceContext` travels **down** with each request (scheduler →
-  pool → worker): the correlation id, the span name merged telemetry
-  re-parents under, the request deadline, and which halves of the
-  parent's observation session the worker should reproduce locally;
-* :class:`WorkerTelemetry` travels **up** with each result: the worker's
-  identity, its session clock total, a metrics snapshot and raw span
-  events — everything the parent needs to merge the worker session into
-  its own registry (:meth:`MetricsRegistry.merge`) and timeline
-  (:meth:`SpanTracer.adopt_span`) with ``worker=`` labels.
-
-Both are plain frozen-ish dataclasses of picklable primitives, so they
-cross ``concurrent.futures`` untouched.  :func:`capture` is the
-worker-side entry point: it opens a fresh local observation session
-shaped by the context and hands back the filled telemetry on close.
+Inline and thread workers run in the caller's interpreter, so their
+``OBS`` hook sites already feed the caller's registry; all the service
+adds is a ``worker=`` label naming where a request executed.  Shard
+workers are labelled by the shard pool itself (``shardN``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import threading
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
 
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.observer import observe
-from repro.observability.trace import REQUEST_SPAN, SpanTracer
-
-__all__ = ["TraceContext", "WorkerTelemetry", "capture", "worker_label"]
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """The telemetry envelope attached to one :class:`ModExpRequest`.
-
-    Parameters
-    ----------
-    request_id:
-        Correlation id; the service fills in a generated ``req<n>`` when
-        the request itself is anonymous, so merged telemetry can always
-        be tied back to its request span.
-    parent_span:
-        Span name the worker's session is re-parented under at merge
-        time (one such span per request in the exported trace).
-    deadline:
-        The request's deadline, forwarded so a worker could prioritise
-        or shed load without seeing the scheduling envelope.
-    collect_metrics / collect_spans:
-        Which halves of the parent's observation session the worker
-        should reproduce locally and ship back.  Both ``False`` (the
-        default) makes the context propagation-only: ids and deadline
-        travel, no capture session is opened.
-    detail:
-        Span granularity for the worker-local tracer (mirrors the
-        parent tracer's ``detail``).
-    """
-
-    request_id: str = ""
-    parent_span: str = REQUEST_SPAN
-    deadline: Optional[float] = None
-    collect_metrics: bool = False
-    collect_spans: bool = False
-    detail: str = "op"
-
-    @property
-    def wants_capture(self) -> bool:
-        return self.collect_metrics or self.collect_spans
-
-
-@dataclass
-class WorkerTelemetry:
-    """One worker session's observations, shipped back with the result."""
-
-    worker: str
-    cycles: int = 0
-    metrics: Optional[Dict[str, Any]] = None
-    events: List[Dict[str, Any]] = field(default_factory=list)
+__all__ = ["worker_label"]
 
 
 def worker_label() -> str:
     """Identity of the executing worker, stable within one pool.
 
-    ``pid<n>`` inside a process-pool child, the executor thread's name on
-    a thread pool, ``main`` for inline execution on the main thread.
+    The executor thread's name on a thread pool, ``main`` for inline
+    execution on the main thread.
     """
-    if multiprocessing.parent_process() is not None:
-        return f"pid{os.getpid()}"
     thread = threading.current_thread()
     if thread is threading.main_thread():
         return "main"
     return thread.name
-
-
-@contextmanager
-def capture(context: TraceContext) -> Iterator[WorkerTelemetry]:
-    """Run the with-block under a fresh local observation session.
-
-    Installs a worker-local registry/tracer pair per the context's
-    collect flags, and fills the yielded :class:`WorkerTelemetry` with
-    the session's snapshot on exit.  With both flags off the session is
-    skipped entirely and the telemetry stays empty (the caller can still
-    use its ``worker`` label).
-    """
-    telemetry = WorkerTelemetry(worker=worker_label())
-    if not context.wants_capture:
-        yield telemetry
-        return
-    registry = MetricsRegistry() if context.collect_metrics else None
-    tracer = SpanTracer(detail=context.detail) if context.collect_spans else None
-    with observe(metrics=registry, tracer=tracer):
-        yield telemetry
-    if registry is not None:
-        telemetry.metrics = registry.snapshot()
-    if tracer is not None:
-        telemetry.cycles = tracer.clock.now
-        telemetry.events = list(tracer.events)

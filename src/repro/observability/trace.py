@@ -30,14 +30,10 @@ __all__ = [
     "CycleClock",
     "SpanTracer",
     "TRACE_DETAILS",
-    "REQUEST_SPAN",
     "validate_chrome_trace",
 ]
 
 TRACE_DETAILS = ("op", "state", "cycle")
-
-#: Span name under which adopted worker sessions nest (one per request).
-REQUEST_SPAN = "serving.request"
 
 
 class CycleClock:
@@ -83,10 +79,6 @@ class SpanTracer:
         self.detail = detail
         self.events: List[Dict[str, Any]] = []
         self._stack: List[Dict[str, Any]] = []
-        # Adopted worker sessions: one thread track per worker, laid out
-        # end-to-end by a per-track cursor (worker clocks all start at 0).
-        self._worker_tids: Dict[str, int] = {}
-        self._track_cursor: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -162,66 +154,6 @@ class SpanTracer:
         }
 
     # ------------------------------------------------------------------
-    # Cross-process adoption
-    # ------------------------------------------------------------------
-    def worker_tid(self, worker: str) -> int:
-        """Stable thread-track id for one worker label (allocated on first use)."""
-        tid = self._worker_tids.get(worker)
-        if tid is None:
-            tid = self._worker_tids[worker] = self.TID + 1 + len(self._worker_tids)
-        return tid
-
-    def adopt_span(
-        self,
-        name: str,
-        events: List[Dict[str, Any]],
-        duration: int,
-        *,
-        worker: str,
-        cat: str = "serving",
-        **args: Any,
-    ) -> Dict[str, Any]:
-        """Re-parent one worker session's events under a new span here.
-
-        A worker process records spans against a fresh tracer whose clock
-        started at zero; this folds that session into the parent timeline:
-        a parent span of ``duration`` cycles is placed at the worker
-        track's cursor, every worker event is shifted into its window (and
-        onto the worker's tid, tagged with the worker label and the parent
-        span's ``request_id`` when present), and the cursor advances so
-        successive sessions on one worker lie end to end.  Returns the
-        parent span event.
-        """
-        tid = self.worker_tid(worker)
-        start = self._track_cursor.get(tid, 0)
-        duration = max(int(duration), 0)
-        parent = {
-            "name": name,
-            "cat": cat,
-            "ph": "X",
-            "ts": start,
-            "dur": duration,
-            "pid": self.PID,
-            "tid": tid,
-            "args": {**args, "worker": worker},
-        }
-        self.events.append(parent)
-        request_id = args.get("request_id")
-        for event in events:
-            adopted = dict(event)
-            adopted["ts"] = adopted.get("ts", 0) + start
-            adopted["pid"] = self.PID
-            adopted["tid"] = tid
-            adopted_args = dict(adopted.get("args") or {})
-            adopted_args.setdefault("worker", worker)
-            if request_id is not None:
-                adopted_args.setdefault("request_id", request_id)
-            adopted["args"] = adopted_args
-            self.events.append(adopted)
-        self._track_cursor[tid] = start + max(duration, 1)
-        return parent
-
-    # ------------------------------------------------------------------
     # Introspection helpers (used by tests and the CLI summary)
     # ------------------------------------------------------------------
     @property
@@ -261,16 +193,6 @@ class SpanTracer:
                 "args": {"name": "cycles"},
             },
         ]
-        for worker, tid in sorted(self._worker_tids.items(), key=lambda kv: kv[1]):
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": self.PID,
-                    "tid": tid,
-                    "args": {"name": f"worker:{worker}"},
-                }
-            )
         events.extend(self.events)
         for frame in reversed(self._stack):
             events.append(
@@ -314,12 +236,6 @@ def validate_chrome_trace(obj: Any) -> List[str]:
     a ``traceEvents`` array of dicts, each with a known ``ph``, a string
     ``name``, integer timestamps, ``dur`` on complete events, balanced
     ``B``/``E`` pairs, and a scope flag on instants.
-
-    Traces holding merged worker telemetry get one further check: every
-    adopted worker span (a complete event whose args carry both
-    ``worker`` and ``request_id``) must nest inside its request span — a
-    ``serving.request`` complete event with the same ``request_id`` on
-    the same thread track whose time window contains it.
     """
     problems: List[str] = []
     if not isinstance(obj, dict) or "traceEvents" not in obj:
@@ -328,8 +244,6 @@ def validate_chrome_trace(obj: Any) -> List[str]:
     if not isinstance(events, list):
         return ["'traceEvents' must be an array"]
     depth = 0
-    request_spans: Dict[Any, List[Any]] = {}
-    worker_spans: List[Any] = []
     for i, e in enumerate(events):
         where = f"traceEvents[{i}]"
         if not isinstance(e, dict):
@@ -351,17 +265,6 @@ def validate_chrome_trace(obj: Any) -> List[str]:
             dur = e.get("dur")
             if not isinstance(dur, (int, float)) or dur < 0:
                 problems.append(f"{where}: complete event needs 'dur' >= 0")
-            else:
-                args = e.get("args") or {}
-                rid = args.get("request_id")
-                if rid is not None:
-                    key = (e.get("tid"), rid)
-                    if e.get("name") == REQUEST_SPAN:
-                        request_spans.setdefault(key, []).append(
-                            (e["ts"], e["ts"] + dur)
-                        )
-                    elif "worker" in args:
-                        worker_spans.append((where, key, e["ts"], e["ts"] + dur))
         elif ph == "i":
             if e.get("s", "t") not in ("g", "p", "t"):
                 problems.append(f"{where}: instant scope must be g/p/t")
@@ -376,16 +279,4 @@ def validate_chrome_trace(obj: Any) -> List[str]:
             problems.append(f"{where}: counter event needs 'args'")
     if depth > 0:
         problems.append(f"{depth} 'B' event(s) never closed by 'E'")
-    for where, key, lo, hi in worker_spans:
-        windows = request_spans.get(key)
-        if windows is None:
-            problems.append(
-                f"{where}: worker span for request {key[1]!r} has no "
-                f"'{REQUEST_SPAN}' span on its thread track"
-            )
-        elif not any(w_lo <= lo and hi <= w_hi for w_lo, w_hi in windows):
-            problems.append(
-                f"{where}: worker span [{lo}, {hi}] not nested inside its "
-                f"request span for {key[1]!r}"
-            )
     return problems

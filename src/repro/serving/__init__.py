@@ -14,9 +14,10 @@ single-shot engines into a multi-worker modular-exponentiation service.
 * :mod:`repro.serving.scheduler` — per-modulus batch coalescing (one
   Montgomery pre-computation per batch) and deadline/cost dispatch
   ordering.
-* :mod:`repro.serving.pool` — the bounded worker pool (process workers
-  for big-int backends, thread workers for the simulators) with explicit
-  ``QueueFull`` backpressure, and the shared :class:`SlotWindow`
+* :mod:`repro.serving.pool` — :func:`execute_batch`, the one
+  request-execution path every data plane runs; the in-process
+  :class:`WorkerPool` (inline or thread workers) with explicit
+  ``QueueFull`` backpressure; and the shared :class:`SlotWindow`
   in-flight accounting.
 * :mod:`repro.serving.shard` — the sharded data plane: consistent-hash
   placement of ``(modulus, l)`` onto pre-forked warm workers, coalesced

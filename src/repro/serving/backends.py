@@ -66,10 +66,11 @@ class BackendCapabilities:
     simulator:
         True for backends that step a hardware model cycle by cycle.
     process_safe:
-        True when the backend may run on process workers (resolvable by
-        name in a fresh interpreter, CPU-bound big-int work).  Simulators
-        stay on thread workers so their observability hooks keep feeding
-        the parent's metrics registry.
+        True when ``worker_kind="auto"`` may put the backend on shard
+        worker processes (resolvable by name in a fresh interpreter,
+        CPU-bound big-int work).  Simulators default to thread workers
+        so their observability hooks keep feeding the parent's metrics
+        registry.
     requires_factors:
         True when requests must carry ``factors=(p, q)``.
     lanes:
@@ -679,7 +680,7 @@ class BackendRegistry:
                     "∞" if caps.max_bits is None else caps.max_bits,
                     "measured" if caps.cycle_accurate else "modelled",
                     "yes" if caps.simulator else "no",
-                    "process" if caps.process_safe else "thread",
+                    "shard" if caps.process_safe else "thread",
                     "yes" if caps.requires_factors else "no",
                     caps.description,
                 ]

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import QueueFull
 from repro.montgomery.params import (
@@ -52,7 +52,6 @@ def lane_groups(
     lanes: int,
     *,
     mixed: bool = False,
-    exponent_of: Callable[[T], Any] = lambda item: item.exponent,
 ) -> List[List[T]]:
     """Partition one batch's items into lane-packable groups.
 
@@ -62,15 +61,12 @@ def lane_groups(
     ``capabilities.mixed_exponent_lanes`` (the chip, which interleaves
     independent chains instead of lock-stepping lanes) group the whole
     batch regardless of exponent.  Order within a group follows batch
-    order.
-
-    Shared by the service's dispatcher (grouping in-flight ``_Entry``
-    objects via ``exponent_of``) and the shard worker loop (grouping
-    decoded :class:`ModExpRequest` objects directly).
+    order.  :func:`~repro.serving.pool.execute_batch` groups with it on
+    every data plane.
     """
     by_exponent: Dict[Any, List[T]] = {}
     for item in items:
-        key = None if mixed else exponent_of(item)
+        key = None if mixed else item.exponent
         by_exponent.setdefault(key, []).append(item)
     groups: List[List[T]] = []
     for members in by_exponent.values():

@@ -1,37 +1,28 @@
 """Sharded serving data plane: warm, modulus-homed worker processes.
 
-The process-pool data plane pays for its generality twice per request:
-the task function and its arguments are pickled through a
-``ProcessPoolExecutor``, and whichever worker happens to pick the task
-up starts with cold caches — the compiled-kernel LRU and the
-``precompute_montgomery_constants()`` table are per-process, so a
-request's modulus is as likely as not to land on a worker that has
-never seen it.  ``benchmarks/results/serving_throughput.txt`` recorded
-the verdict: four process workers ran *slower* than sequential.
-
-This module replaces that plane with three pieces:
+Three pieces:
 
 * :class:`ShardMap` — a consistent-hash ring that assigns every
   ``(modulus, l)`` key a **home shard**.  Same key, same shard, every
-  time — so each shard's caches stay hot for its home moduli, the way
-  the quad-core RSA processor in the related work gives each core its
-  own key material.  Virtual nodes smooth the key distribution; dead
-  shards are skipped on the ring (their key ranges reassign to the next
-  alive shard) and reclaim their ranges when respawned.
+  time — so each shard's caches (the compiled-kernel LRU and the
+  ``precompute_montgomery_constants()`` table are per-process) stay hot
+  for its home moduli, the way the quad-core RSA processor in the
+  related work gives each core its own key material.  Virtual nodes
+  smooth the key distribution; dead shards are skipped on the ring
+  (their key ranges reassign to the next alive shard) and reclaim their
+  ranges when respawned.
 * the **batch frame** wire (see :mod:`repro.serving.wire`) — one
   coalesced batch travels to its shard as one length-prefixed binary
   message over a duplex pipe, big-int operands as raw bytes; the shard
-  answers with one result frame carrying every outcome plus a metrics
-  snapshot for the whole batch.  No pickling, no per-request IPC.
-* :class:`ShardPool` — the dispatcher.  It exposes the same surface the
-  service uses on :class:`~repro.serving.pool.WorkerPool` (``depth``,
-  ``abandon``, ``wait_for_capacity``, ``shutdown``, the shared
-  :class:`~repro.serving.pool.SlotWindow` backpressure), plus
-  :meth:`~ShardPool.submit_batch`, which reserves one slot per request,
-  ships the frame, and returns one future per request resolving to the
-  same ``(value, cycles, wall_us, worker, telemetry)`` payload the
-  pool tasks produce — so the service's collector, verifier, retry
-  ladder and SLO accounting work unchanged.
+  runs it through :func:`~repro.serving.pool.execute_batch` and answers
+  with one result frame carrying every outcome plus a metrics snapshot
+  for the whole batch.  No pickling, no per-request IPC.
+* :class:`ShardPool` — the dispatcher.  It shares the pool surface of
+  :class:`~repro.serving.pool.WorkerPool` (``submit_batch``, ``depth``,
+  ``load``, ``abandon``, ``wait_for_capacity``, ``shutdown`` and the
+  :class:`~repro.serving.pool.SlotWindow` backpressure, one slot per
+  request), so the service's dispatcher, collector, verifier, retry
+  ladder and SLO accounting run unchanged on either plane.
 
 **Failure semantics.**  Failures are graded, not binary.  Each shard
 slot carries a :class:`~repro.serving.health.ShardHealth` machine
@@ -57,7 +48,8 @@ before EOF, so a batch is never both answered and requeued.
 **Telemetry.**  Each worker wraps every batch in a fresh local
 observation session and ships the registry snapshot home in the result
 frame; the parent merges it with ``shard=N`` / ``worker=shardN`` labels.
-The per-shard ``montgomery.precompute`` / ``montgomery.precompute_cache_hits``
+Only metrics travel: worker-side trace spans are not shipped.  The
+per-shard ``montgomery.precompute`` / ``montgomery.precompute_cache_hits``
 counters that fall out are the homing proof: a warm shard serves its
 home moduli from cache.  The pool additionally maintains
 ``serving.shard_queue_depth``, ``serving.shard_busy_fraction`` and
@@ -86,13 +78,16 @@ from repro.errors import (
     ShardFailure,
     WireFormatError,
 )
-from repro.montgomery.params import precompute_montgomery_constants
+from repro.montgomery.params import (
+    MontgomeryContext,
+    precompute_montgomery_constants,
+)
 from repro.observability import OBS, MetricsRegistry, observe
 from repro.robustness.chaos import ChaosConfig, FaultPlan
 from repro.serving.health import HealthConfig, ShardHealth
-from repro.serving.pool import SlotWindow
+from repro.serving.backends import default_registry
+from repro.serving.pool import DEFAULT_SLOTS_PER_WORKER, SlotWindow, execute_batch
 from repro.serving.request import ModExpRequest
-from repro.serving.scheduler import lane_groups
 from repro.serving.wire import (
     BATCH_FRAME,
     NACK_FRAME,
@@ -217,6 +212,17 @@ def _error_row(request_id: str, exc: BaseException) -> Dict[str, Any]:
     }
 
 
+def _result_row(request_id: str, outcome: Any) -> Dict[str, Any]:
+    """One :func:`execute_batch` outcome as a result-frame row."""
+    if isinstance(outcome, BaseException):
+        return _error_row(request_id, outcome)
+    value, cycles, wall_us = outcome
+    row: Dict[str, Any] = {"id": request_id, "value": value, "wall_us": wall_us}
+    if cycles is not None:
+        row["cycles"] = cycles
+    return row
+
+
 def _shard_worker_main(
     conn: Any, shard_index: int, backend_name: str, chaos: Optional[ChaosConfig]
 ) -> None:
@@ -225,9 +231,10 @@ def _shard_worker_main(
     Runs in a forked child.  The backend is resolved by name **once** —
     its compiled-kernel caches, and the process-wide Montgomery constant
     cache, then live for the worker's whole life; that persistence is the
-    entire point of homing moduli onto shards.  Each batch executes under
-    a fresh local observation session whose snapshot travels back in the
-    result frame (telemetry per batch, not per request).
+    entire point of homing moduli onto shards.  Each batch runs through
+    :func:`~repro.serving.pool.execute_batch`, under a fresh local
+    observation session whose snapshot travels back in the result frame
+    (telemetry per batch, not per request).
 
     An empty frame is the shutdown pill.  A batch frame this worker
     cannot decode is **not** fatal: the pipe preserves message
@@ -236,9 +243,7 @@ def _shard_worker_main(
     serving; the parent degrades the shard and requeues the batch.  Only
     a closed pipe ends the loop.
     """
-    from repro.serving.service import _execute_with_chaos, _worker_registry
-
-    registry_obj = _worker_registry()
+    registry_obj = default_registry()
     backend = registry_obj.get(backend_name)
     chaos = chaos if (chaos is not None and chaos.active) else None
     frame_plan = (
@@ -279,98 +284,24 @@ def _shard_worker_main(
             exec_backend = cheap_backend
         else:
             exec_backend = backend
-        caps = exec_backend.capabilities
         # Metrics capture is opt-in per batch (frame flag, set when the
         # parent runs under an observation session): the engines' hook
         # sites on the multiply/exponentiate hot path are not free, and
         # an un-instrumented serving run must not pay for a snapshot
         # nobody will read.
         registry = MetricsRegistry() if want_telemetry else None
-        results: List[Dict[str, Any]] = []
         started = time.perf_counter()
         with observe(metrics=registry) if registry is not None else nullcontext():
             ctx = precompute_montgomery_constants(
                 requests[0].modulus, requests[0].l
             )
-            # Pre-execute deadline check: a request that expired while
-            # queued or in transit gets a typed failure instead of a
-            # modexp nobody is waiting for.
-            live: List[ModExpRequest] = []
-            for request in requests:
-                if request.expired():
-                    if OBS.enabled:
-                        OBS.count("serving.deadline_expired", where="worker")
-                    results.append(
-                        _error_row(
-                            request.request_id,
-                            DeadlineExceeded(
-                                "deadline passed before execution",
-                                where="worker",
-                            ),
-                        )
-                    )
-                else:
-                    live.append(request)
-            requests = live
-            # Lane packing is suspended under chaos, exactly as in the
-            # parent's dispatcher: every request needs its own fault
-            # decision, which a lock-step sweep cannot honour.
-            if caps.lanes > 1 and chaos is None:
-                groups = lane_groups(
-                    requests, caps.lanes, mixed=caps.mixed_exponent_lanes
-                )
-            else:
-                groups = [[request] for request in requests]
-            for group in groups:
-                if OBS.enabled:
-                    OBS.count(
-                        "serving.lane_groups",
-                        packed="yes" if len(group) > 1 else "no",
-                    )
-                    OBS.record(
-                        "serving.lane_group_size",
-                        len(group),
-                        backend=exec_backend.name,
-                    )
-                if len(group) == 1:
-                    request = group[0]
-                    t0 = time.perf_counter()
-                    try:
-                        out = _execute_with_chaos(
-                            exec_backend, ctx, request, chaos, attempt, True
-                        )
-                    except BaseException as exc:
-                        results.append(_error_row(request.request_id, exc))
-                        continue
-                    wall_us = (time.perf_counter() - t0) * 1e6
-                    row: Dict[str, Any] = {
-                        "id": request.request_id,
-                        "value": out.value,
-                        "wall_us": wall_us,
-                    }
-                    if out.cycles is not None:
-                        row["cycles"] = out.cycles
-                    results.append(row)
-                else:
-                    t0 = time.perf_counter()
-                    try:
-                        outs = exec_backend.execute_many(ctx, list(group))
-                    except BaseException as exc:
-                        results.extend(
-                            _error_row(r.request_id, exc) for r in group
-                        )
-                        continue
-                    # Wall time is amortized evenly over the lane sweep.
-                    wall_us = (time.perf_counter() - t0) * 1e6 / len(group)
-                    for request, out in zip(group, outs):
-                        row = {
-                            "id": request.request_id,
-                            "value": out.value,
-                            "wall_us": wall_us,
-                        }
-                        if out.cycles is not None:
-                            row["cycles"] = out.cycles
-                        results.append(row)
+            outcomes = execute_batch(
+                exec_backend, ctx, requests, chaos, attempt, allow_kill=True
+            )
+        results = [
+            _result_row(request.request_id, outcome)
+            for request, outcome in zip(requests, outcomes)
+        ]
         batch_wall_us = (time.perf_counter() - started) * 1e6
         frame = encode_result_frame(
             batch_id,
@@ -520,11 +451,11 @@ def _mp_context():
 class ShardPool:
     """Front-end dispatcher over N pre-forked, modulus-homed workers.
 
-    Presents the :class:`~repro.serving.pool.WorkerPool` surface the
-    service relies on (``kind``/``workers``/``depth``/``restarts``,
+    Presents the pool surface the service relies on
+    (``kind``/``workers``/``depth``/``load``, ``submit_batch``,
     ``abandon``/``wait_for_capacity``/``shutdown``) with batch-frame
-    dispatch instead of per-task submission.  One slot of the shared
-    :class:`SlotWindow` is reserved per *request*; a batch larger than
+    dispatch, plus ``restarts`` and hedging.  One slot of the shared
+    :class:`SlotWindow` is reserved per request; a batch larger than
     the whole window is admitted when the window is empty so ``wait``
     mode can never deadlock.
 
@@ -536,8 +467,8 @@ class ShardPool:
         Backend *name*, resolved from the default registry inside each
         worker — backend objects never cross the process boundary.
     queue_limit:
-        Bounded in-flight window in requests (default ``32 × shards``,
-        sized for whole batches rather than single tasks).
+        Bounded in-flight window in requests (default
+        ``DEFAULT_SLOTS_PER_WORKER × shards``).
     chaos:
         Fault plan forwarded to every worker at spawn time.
     vnodes:
@@ -565,7 +496,11 @@ class ShardPool:
         self.workers = shards
         self.backend_name = backend
         self.chaos = chaos
-        self.queue_limit = queue_limit if queue_limit is not None else 32 * shards
+        self.queue_limit = (
+            queue_limit
+            if queue_limit is not None
+            else DEFAULT_SLOTS_PER_WORKER * shards
+        )
         self._window = SlotWindow(self.queue_limit)
         self.map = ShardMap(shards, vnodes=vnodes)
         self.restarts = 0
@@ -720,18 +655,24 @@ class ShardPool:
     # Dispatch
     # ------------------------------------------------------------------
     def submit_batch(
-        self, requests: Sequence[ModExpRequest], *, cheap_mode: bool = False
+        self,
+        requests: Sequence[ModExpRequest],
+        *,
+        context: Optional[MontgomeryContext] = None,
+        cheap_mode: bool = False,
     ) -> List[Future]:
         """Ship one coalesced batch to its home shard as a single frame.
 
         Reserves one window slot per request (raising
         :class:`~repro.errors.QueueFull` past the bound, unless the
         window is empty) and returns one future per request, in request
-        order.  Each future resolves to the standard pool payload
-        ``(value, cycles, wall_us, worker, telemetry)`` — telemetry is
-        always ``None`` here because the batch's worker snapshot is
-        merged by the reader thread, once per batch — or raises the
-        reconstructed worker-side error.
+        order.  Each future resolves to ``(value, cycles, wall_us,
+        worker)`` — the batch's worker telemetry snapshot is merged by
+        the reader thread, once per batch — or raises the reconstructed
+        worker-side error.  ``context`` does not cross the wire: the
+        home shard derives the batch's constants from its own warm
+        cache.  ``cheap_mode`` runs the batch on the worker's cheapest
+        capable backend (the brownout lever).
         """
         if self._closed:
             raise QueueFull("shard pool is shut down")
@@ -997,7 +938,6 @@ class ShardPool:
                         row.get("cycles"),
                         row.get("wall_us", 0.0),
                         shard.label,
-                        None,
                     )
                 )
             else:
@@ -1133,7 +1073,7 @@ class ShardPool:
                 self._window.release(future)
 
     # ------------------------------------------------------------------
-    # WorkerPool surface
+    # Pool surface shared with WorkerPool
     # ------------------------------------------------------------------
     def abandon(self, future: Future) -> bool:
         """Give up on one request (deadline blown): free its slot now.
@@ -1152,9 +1092,6 @@ class ShardPool:
         self, timeout: Optional[float] = None, *, slots: int = 1
     ) -> bool:
         return self._window.wait(timeout, slots=slots)
-
-    def respawn(self) -> None:
-        """No-op for API parity: shards respawn themselves on death."""
 
     def shutdown(self, *, wait: bool = True, cancel_pending: bool = False) -> None:
         with self._lifecycle:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.observability.trace import (
     CycleClock,
-    REQUEST_SPAN,
     SpanTracer,
     validate_chrome_trace,
 )
@@ -127,110 +126,3 @@ class TestValidateChromeTrace:
             ]
         }
         assert validate_chrome_trace(doc) == []
-
-
-def _worker_session(cycles=100, name="exponentiate"):
-    """A finished worker-local tracer session to adopt."""
-    w = SpanTracer(detail="op")
-    w.begin(name, cat="exponentiator")
-    w.clock.advance(cycles)
-    w.end(cycles=cycles)
-    return w
-
-
-class TestAdoptSpan:
-    def test_adopted_session_nests_under_request_span(self):
-        parent = SpanTracer()
-        w = _worker_session(120)
-        parent.adopt_span(
-            REQUEST_SPAN, w.events, w.clock.now, worker="pid9", request_id="r1"
-        )
-        doc = parent.to_dict()
-        assert validate_chrome_trace(doc) == []
-        spans = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
-        request = next(e for e in spans if e["name"] == REQUEST_SPAN)
-        inner = next(e for e in spans if e["name"] == "exponentiate")
-        # Same worker track, time containment, correlation labels on both.
-        assert request["tid"] == inner["tid"] != parent.TID
-        assert request["ts"] <= inner["ts"]
-        assert inner["ts"] + inner["dur"] <= request["ts"] + request["dur"]
-        for event in (request, inner):
-            assert event["args"]["worker"] == "pid9"
-            assert event["args"]["request_id"] == "r1"
-
-    def test_sessions_on_one_worker_track_lay_end_to_end(self):
-        parent = SpanTracer()
-        for rid, cycles in (("r1", 100), ("r2", 80)):
-            w = _worker_session(cycles)
-            parent.adopt_span(
-                REQUEST_SPAN, w.events, w.clock.now, worker="pid9", request_id=rid
-            )
-        spans = [
-            e
-            for e in parent.to_dict()["traceEvents"]
-            if e.get("ph") == "X" and e["name"] == REQUEST_SPAN
-        ]
-        first, second = sorted(spans, key=lambda e: e["ts"])
-        assert first["ts"] + first["dur"] <= second["ts"]
-
-    def test_each_worker_gets_its_own_named_track(self):
-        parent = SpanTracer()
-        for worker in ("pid1", "pid2"):
-            w = _worker_session(10)
-            parent.adopt_span(
-                REQUEST_SPAN, w.events, w.clock.now, worker=worker, request_id="r"
-            )
-        doc = parent.to_dict()
-        names = {
-            e["args"]["name"]
-            for e in doc["traceEvents"]
-            if e.get("ph") == "M" and e["name"] == "thread_name"
-        }
-        assert {"worker:pid1", "worker:pid2"} <= names
-        tids = {
-            e["tid"]
-            for e in doc["traceEvents"]
-            if e.get("ph") == "X" and e["name"] == REQUEST_SPAN
-        }
-        assert len(tids) == 2
-
-
-class TestWorkerSpanNestingValidation:
-    def test_worker_span_escaping_its_request_window_is_flagged(self):
-        doc = {
-            "traceEvents": [
-                {
-                    "ph": "X", "name": REQUEST_SPAN, "pid": 1, "tid": 2,
-                    "ts": 0, "dur": 10,
-                    "args": {"request_id": "r1", "worker": "w"},
-                },
-                {
-                    "ph": "X", "name": "exponentiate", "pid": 1, "tid": 2,
-                    "ts": 5, "dur": 20,
-                    "args": {"request_id": "r1", "worker": "w"},
-                },
-            ]
-        }
-        problems = validate_chrome_trace(doc)
-        assert any("not nested inside its request span" in p for p in problems)
-
-    def test_worker_span_with_no_request_span_is_flagged(self):
-        doc = {
-            "traceEvents": [
-                {
-                    "ph": "X", "name": "exponentiate", "pid": 1, "tid": 2,
-                    "ts": 0, "dur": 5,
-                    "args": {"request_id": "orphan", "worker": "w"},
-                },
-            ]
-        }
-        problems = validate_chrome_trace(doc)
-        assert any("has no" in p and REQUEST_SPAN in p for p in problems)
-
-    def test_properly_nested_worker_spans_pass(self):
-        parent = SpanTracer()
-        w = _worker_session(50)
-        parent.adopt_span(
-            REQUEST_SPAN, w.events, w.clock.now, worker="pid3", request_id="ok"
-        )
-        assert validate_chrome_trace(parent.to_dict()) == []

@@ -17,7 +17,7 @@ def _add(a, b):
 
 
 class TestBasics:
-    @pytest.mark.parametrize("kind", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("kind", ["inline", "thread"])
     def test_submit_returns_result(self, kind):
         with WorkerPool(workers=2, kind=kind) as pool:
             assert pool.submit(_add, 2, 3).result(timeout=30) == 5
@@ -94,6 +94,64 @@ class TestBackpressure:
     def test_default_queue_limit_scales_with_workers(self):
         pool = WorkerPool(workers=3, kind="inline")
         try:
-            assert pool.queue_limit == 12
+            assert pool.queue_limit == 96
         finally:
+            pool.shutdown()
+
+
+class TestSubmitBatch:
+    def test_lane_batch_holds_one_slot_per_request(self):
+        """Backpressure counts requests on every plane: a 64-request lane
+        group is one sweep but holds 64 window slots while in flight."""
+        from repro.montgomery.params import precompute_montgomery_constants
+        from repro.serving.backends import (
+            BackendCapabilities,
+            BackendResult,
+            ModExpBackend,
+        )
+        from repro.serving.request import ModExpRequest
+
+        release = threading.Event()
+        sweeps = []
+
+        class BlockingLanes(ModExpBackend):
+            name = "blocking-lanes"
+            capabilities = BackendCapabilities(
+                description="test-only lane backend", process_safe=False, lanes=64
+            )
+
+            def model_cycles(self, request):
+                return 1.0
+
+            def execute(self, ctx, request):
+                return self.execute_many(ctx, [request])[0]
+
+            def execute_many(self, ctx, requests):
+                sweeps.append(len(requests))
+                release.wait(30)
+                return [BackendResult(r.expected(), 1) for r in requests]
+
+        modulus = 0xC5AF
+        requests = [ModExpRequest(3 + i, 65537, modulus) for i in range(64)]
+        pool = WorkerPool(workers=2, kind="thread", backend=BlockingLanes())
+        try:
+            futures = pool.submit_batch(
+                requests, context=precompute_montgomery_constants(modulus, 0)
+            )
+            assert pool.queue_limit == 64
+            assert pool.depth == 64
+            with pytest.raises(QueueFull):
+                pool.submit_batch(
+                    requests[:1], context=precompute_montgomery_constants(modulus, 0)
+                )
+            release.set()
+            values = [f.result(timeout=30)[0] for f in futures]
+            assert values == [r.expected() for r in requests]
+            assert sweeps == [64]
+            deadline = time.monotonic() + 30
+            while pool.depth and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool.depth == 0
+        finally:
+            release.set()
             pool.shutdown()

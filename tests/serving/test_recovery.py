@@ -127,14 +127,14 @@ class TestPoolSlotRelease:
 
 
 # ----------------------------------------------------------------------
-# Worker-crash recovery (process pools)
+# Worker-crash recovery (shard worker processes)
 # ----------------------------------------------------------------------
 class TestWorkerCrashRecovery:
     def test_killed_workers_are_respawned_and_requests_requeued(self):
         svc = ModExpService(
             backend="integer",
             workers=2,
-            worker_kind="process",
+            worker_kind="shard",
             chaos=ChaosConfig(seed=11, worker_kill_rate=0.2),
             retry=RetryPolicy(max_attempts=4, backoff_s=0.0),
         )
@@ -142,7 +142,7 @@ class TestWorkerCrashRecovery:
             results = svc.process(reqs(30))
             assert all(r.ok for r in results)
             assert [r.value for r in results] == [expected(i) for i in range(30)]
-            assert svc.pool.restarts >= 1  # at least one pool respawn
+            assert svc.pool.restarts >= 1  # at least one worker respawn
         finally:
             svc.close(wait=False)
 
@@ -152,7 +152,7 @@ class TestWorkerCrashRecovery:
             svc = ModExpService(
                 backend="integer",
                 workers=1,
-                worker_kind="process",
+                worker_kind="shard",
                 chaos=ChaosConfig(seed=1, worker_kill_rate=0.5),
                 retry=RetryPolicy(max_attempts=4, backoff_s=0.0),
             )
@@ -319,14 +319,14 @@ class TestBreakerIntegration:
 class TestChaosAcceptance:
     def test_200_requests_process_pool_kills_exceptions_flips(self):
         """Kills (>=5%), exceptions (5%) and result bit flips (5%) over a
-        200-request batch through a real process pool: every returned
-        value equals pow(x, e, N); nothing silently corrupted."""
+        200-request batch through real shard worker processes: every
+        returned value equals pow(x, e, N); nothing silently corrupted."""
         registry = MetricsRegistry()
         with observe(metrics=registry):
             svc = ModExpService(
                 backend="integer",
                 workers=4,
-                worker_kind="process",
+                worker_kind="shard",
                 chaos=ChaosConfig(
                     seed=13,
                     worker_kill_rate=0.05,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import threading
 import time
 
 import pytest
@@ -62,7 +63,7 @@ def _sleepy_registry(delay: float) -> BackendRegistry:
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("kind", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("kind", ["inline", "thread", "shard"])
     def test_results_match_pow_in_input_order(self, kind):
         requests = _workload(12, 3)
         with ModExpService(backend="integer", workers=2, worker_kind=kind) as svc:
@@ -96,10 +97,11 @@ class TestCorrectness:
             results = svc.process(requests)
         assert {r.batch_index for r in results} == {0, 1}
 
-    def test_process_pool_requires_registered_name(self):
-        with pytest.raises(ParameterError, match="not process-safe"):
-            ModExpService(backend="gate", workers=2, worker_kind="process")
+    def test_unknown_worker_kind_rejected(self):
+        with pytest.raises(ParameterError, match="unknown worker kind"):
+            ModExpService(worker_kind="process")
 
+    def test_process_pool_requires_registered_name(self):
         class _Portable(SleepBackend):
             name = "portable"
             capabilities = BackendCapabilities(
@@ -113,7 +115,7 @@ class TestCorrectness:
                 backend="portable",
                 registry=registry,
                 workers=2,
-                worker_kind="process",
+                worker_kind="shard",
             )
 
 
@@ -156,6 +158,47 @@ class TestTimeouts:
         ) as svc:
             results = svc.process([request])
         assert results[0].error_type == "TimeoutError"
+
+    def test_every_timed_out_lane_group_member_reports_timeout(self):
+        """Regression: on the thread plane a lane group used to share one
+        future, so abandoning one timed-out member cancelled the queued
+        task of the whole group and its group-mates surfaced
+        ``CancelledError`` instead of ``TimeoutError``."""
+        release = threading.Event()
+
+        class WedgedLanes(ModExpBackend):
+            name = "wedged-lanes"
+            capabilities = BackendCapabilities(
+                description="test-only wedged lane backend",
+                process_safe=False,
+                lanes=8,
+            )
+
+            def model_cycles(self, request):
+                return 1.0
+
+            def execute(self, ctx, request):
+                return self.execute_many(ctx, [request])[0]
+
+            def execute_many(self, ctx, requests):
+                release.wait(30)
+                return [BackendResult(r.expected(), 1) for r in requests]
+
+        modulus = 0xC5AF
+        requests = [
+            ModExpRequest(3 + i, 65537, modulus, request_id=f"{batch}{i}", timeout=0.2)
+            for batch in "ab"
+            for i in range(4)
+        ]
+        svc = ModExpService(
+            backend=WedgedLanes(), workers=1, worker_kind="thread", max_batch=4
+        )
+        try:
+            results = svc.process(requests)
+        finally:
+            release.set()
+            svc.close()
+        assert [r.error_type for r in results] == ["TimeoutError"] * 8
 
     def test_no_timeout_waits_for_completion(self):
         request = _workload(1, 1, bits=16, seed=5)[0]

@@ -100,7 +100,7 @@ class TestShardPool:
                 futures.extend(pool.submit_batch(group))
             payloads = [f.result(timeout=60) for f in futures]
         flat = [r for group in by_key.values() for r in group]
-        for request, (value, _cycles, wall_us, worker, _tele) in zip(
+        for request, (value, _cycles, wall_us, worker) in zip(
             flat, payloads
         ):
             assert value == pow(request.base, request.exponent, request.modulus)
