@@ -16,9 +16,9 @@ Two phases against :class:`repro.serving.ModExpService`:
    after the cooldown, clean traffic drives it half-open → closed,
    demonstrating shed-and-recover.
 
-3. **Black box** — register-level SEUs through the gate-level backend
-   with the flight recorder armed: chaos flips real DFBs mid-
-   multiplication, every strike freezes a black-box window, and the
+3. **Black box** — register-level SEUs through the ``rtl`` backend's
+   gate-level netlist with the flight recorder armed: chaos flips real
+   DFFs mid-multiplication, every strike freezes a black-box window, and the
    post-mortem bundles (VCD + JSON context) land in ``argv[2]``
    (default ``chaos_dumps``) for CI to upload as artifacts.
 
@@ -135,12 +135,12 @@ def black_box(dump_dir: str) -> None:
     """Phase 3: register SEUs leave replayable post-mortem bundles."""
     from repro.observability.flightrec import PostMortemBundle, find_bundles
 
-    n = 1021  # the gate backend runs real netlists; keep l small
+    n = 1021  # the rtl backend runs real netlists; keep l small
     requests = [
         ModExpRequest(3 + i, 17, n, request_id=f"r{i}") for i in range(50)
     ]
     with ModExpService(
-        backend="gate",
+        backend="rtl",
         workers=1,
         worker_kind="inline",
         chaos=ChaosConfig(

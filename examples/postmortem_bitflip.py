@@ -35,7 +35,7 @@ def main(dump_dir: str) -> None:
     # -- 1. the faulted run, black box armed --------------------------------
     gate = GateLevelMMMC(l, simulator="compiled")
     hub = FlightRecorderHub(dump_dir=dump_dir, pre=64, post=8)
-    hub.set_context(request_id="demo", backend="gate", seed=0)
+    hub.set_context(request_id="demo", backend="rtl", seed=0)
     gate.schedule_fault(site)
     with armed(hub):
         run = gate.multiply(x, y, n)

@@ -2,11 +2,12 @@
 
 Where the other simulator backends run one request's square-and-multiply
 chain to completion before touching the next, this backend *interleaves
-the chains*: each request advances as a generator that yields one
-Montgomery-multiplication operand pair at a time, the chip schedules the
-outstanding multiplications of **different** requests into wave slots and
-tiles concurrently, and each completed product resumes its requester's
-chain.  Dependencies inside one chain are honoured automatically (a
+the chains*: each request advances as the serving layer's Algorithm 3
+generator (:func:`~repro.serving.backends._modexp_chain`), which yields
+one Montgomery-multiplication operand pair at a time; the chip schedules
+the outstanding multiplications of **different** requests into wave
+slots and tiles concurrently, and each completed product resumes its
+requester's chain.  Dependencies inside one chain are honoured automatically (a
 request has at most one multiplication in flight); throughput comes from
 cross-request concurrency — which is why the backend advertises
 ``mixed_exponent_lanes``: unlike the bit-sliced lane sweep, the chip does
@@ -28,20 +29,17 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.errors import (
-    DeadlineExceeded,
-    FaultDetected,
-    ParameterError,
-    SimulationError,
-)
+from repro.errors import DeadlineExceeded, ParameterError, SimulationError
 from repro.montgomery.params import MontgomeryContext
-from repro.robustness.verify import walter_bound_ok
 from repro.serving.backends import (
     BackendCapabilities,
     BackendResult,
     ModExpBackend,
+    _Chain,
+    _check_walter,
+    _modexp_chain,
 )
 from repro.serving.request import ModExpRequest
 from repro.chip.chip import ChipModel
@@ -49,26 +47,6 @@ from repro.chip.interleave import MMMOp
 from repro.chip.schedule import completion_estimate_cycles, speedup_model
 
 __all__ = ["ChipBackend"]
-
-#: yields (x, y) operand pairs, receives the Montgomery product back.
-_Chain = Generator[Tuple[int, int], int, int]
-
-
-def _modexp_chain(base: int, exponent: int, r2: int) -> _Chain:
-    """Algorithm 3 as a coroutine: yield operands, receive products.
-
-    The multiplication sequence is exactly ``_square_multiply``'s —
-    conversion, MSB-first squares + conditional multiplies, final
-    ``Mont(A, 1)`` — so a chip-run request is bit- and count-identical to
-    the sequential backends.
-    """
-    m_bar = yield (base, r2)
-    a = m_bar
-    for i in reversed(range(exponent.bit_length() - 1)):
-        a = yield (a, a)
-        if (exponent >> i) & 1:
-            a = yield (a, m_bar)
-    return (yield (a, 1))
 
 
 class ChipBackend(ModExpBackend):
@@ -225,13 +203,7 @@ class ChipBackend(ModExpBackend):
                 chip.step()
                 for outcome in chip.collect():
                     idx = outcome.op.tag
-                    product = outcome.value
-                    if not walter_bound_ok(product, n):
-                        raise FaultDetected(
-                            f"chip product {product} outside [0, {2 * n}) — "
-                            "Walter T < 2N invariant violated",
-                            check="walter-bound",
-                        )
+                    product = _check_walter(outcome.value, n, "chip product")
                     cycles[idx] += outcome.cycles
                     chain = chains[idx]
                     try:

@@ -602,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--requests",
         type=int,
         default=48,
-        help="serving-stage request count over the gate backend; the mix "
+        help="serving-stage request count over the rtl backend; the mix "
         "repeats 6 distinct (modulus, exponent) pairs, so 48 requests "
         "yield lane groups of 8 (0 = skip the serving stage)",
     )
@@ -1428,12 +1428,11 @@ def _cmd_bench_sim(args, out) -> int:
 
 
 def _profile_serving_stage(args, rng) -> None:
-    """The serving leg of ``repro profile``: mixed traffic over the gate backend.
+    """The serving leg of ``repro profile``: mixed traffic over the rtl backend.
 
-    Three moduli x two exponents at l=10 (the gate backend's width
-    ceiling) so coalescing, lane grouping and lane fill are all exercised
-    with a deliberately imperfect mix; verification is sampled so the
-    verify-overhead attribution has data.
+    Three moduli x two exponents at l=10 so coalescing, lane grouping and
+    lane fill are all exercised with a deliberately imperfect mix;
+    verification is sampled so the verify-overhead attribution has data.
     """
     from repro.robustness import VerifyPolicy
     from repro.serving import ModExpRequest, ModExpService
@@ -1453,7 +1452,7 @@ def _profile_serving_stage(args, rng) -> None:
             )
         )
     with ModExpService(
-        backend="gate",
+        backend="rtl",
         workers=2,
         verify=VerifyPolicy(mode="sampled", sample_rate=0.5),
     ) as service:

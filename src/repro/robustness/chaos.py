@@ -21,7 +21,7 @@ Fault kinds, drawn first-match-wins in this order:
 * ``latency`` — sleeps ``latency_s``; exercises timeouts, SLO
   violations, and the pool's slot-release-on-timeout path.
 * ``bitflip`` — XORs one bit into the backend's result (or, for
-  netlist backends, flips a real register DFF mid-multiplication via
+  the ``rtl`` backend, flips a real register DFF mid-multiplication via
   :meth:`GateLevelMMMC.schedule_fault`); exercises online verification.
   A bitflip is *silent* by construction — recovery must come from
   :mod:`repro.robustness.verify`, not from an exception.

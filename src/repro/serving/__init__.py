@@ -9,8 +9,9 @@ single-shot engines into a multi-worker modular-exponentiation service.
   :class:`ModExpResult`, the unit of work and its uniform outcome.
 * :mod:`repro.serving.backends` — the :class:`ModExpBackend` protocol,
   capability declarations, cost models and the registry wrapping every
-  engine in the repo (integer fast path, CRT-RSA, systolic RTL,
-  gate-level netlist, high-radix, Tenca–Koç scalable).
+  engine in the repo (integer fast path, CRT-RSA, the systolic MMMC on
+  compiled gate-level kernels, high-radix, Tenca–Koç scalable, the
+  multi-tile chip).
 * :mod:`repro.serving.scheduler` — per-modulus batch coalescing (one
   Montgomery pre-computation per batch) and deadline/cost dispatch
   ordering.

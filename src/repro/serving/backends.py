@@ -1,13 +1,16 @@
 """The backend registry: every modexp engine behind one protocol.
 
-The repository grew five ways to compute ``base^exponent mod N`` — the
-pure-integer Algorithm 2 fast path, CRT-RSA, the cycle-accurate systolic
-RTL model, word-based high-radix software, and the Tenca–Koç word-serial
-model — plus the gate-level netlist twin.  The serving layer treats them
-as interchangeable :class:`ModExpBackend` implementations, each declaring
-:class:`BackendCapabilities` (operand-width ceiling, whether its cycle
-counts are measured or modelled, whether it is safe to ship to process
-workers) and a cost model the batch scheduler orders dispatch by.
+The repository has six ways to compute ``base^exponent mod N`` — the
+pure-integer Algorithm 2 fast path, CRT-RSA, the systolic MMMC on
+compiled gate-level kernels, word-based high-radix software, the
+Tenca–Koç word-serial model and the multi-tile chip.  The serving layer
+treats them as interchangeable :class:`ModExpBackend` implementations,
+each declaring :class:`BackendCapabilities` (operand-width ceiling,
+whether its cycle counts are measured or modelled, whether it is safe to
+ship to process workers) and a cost model the batch scheduler orders
+dispatch by.  Every backend but the two golden-exponentiator ones
+(``integer``, ``crt-rsa``) drives one Algorithm 3 schedule,
+:func:`_modexp_chain`.
 
 All backends receive the batch's pre-computed
 :class:`~repro.montgomery.params.MontgomeryContext`, so the Montgomery
@@ -22,9 +25,11 @@ pools.
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Deque, Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.errors import FaultDetected, ParameterError
 from repro.montgomery.params import (
@@ -43,7 +48,6 @@ __all__ = [
     "IntegerBackend",
     "CRTBackend",
     "RTLBackend",
-    "GateLevelBackend",
     "HighRadixBackend",
     "ScalableBackend",
 ]
@@ -61,8 +65,8 @@ class BackendCapabilities:
         Operand-width ceiling (``None`` = unbounded).  The simulators are
         capped where a single exponentiation stays interactive.
     cycle_accurate:
-        True when reported cycles are measured (RTL/gate) or proven equal
-        to measured (the golden accounting); False when modelled.
+        True when reported cycles are measured (the simulators) or proven
+        equal to measured (the golden accounting); False when modelled.
     simulator:
         True for backends that step a hardware model cycle by cycle.
     process_safe:
@@ -171,37 +175,72 @@ class ModExpBackend(ABC):
         return [self.execute(ctx, request) for request in requests]
 
 
-def _square_multiply(
-    mont, ctx_r2: int, base: int, exponent: int, n: Optional[int] = None
-) -> int:
-    """Algorithm 3 over an arbitrary Montgomery-multiply callable.
+#: yields (x, y) operand pairs, receives the Montgomery product back.
+_Chain = Generator[Tuple[int, int], int, int]
 
-    ``mont(x, y)`` must compute ``x·y·R⁻¹ mod N`` for whatever ``R`` the
-    backend uses; ``ctx_r2`` is ``R² mod N`` in the same convention.
-    When ``n`` is given, every intermediate product is checked against
-    Walter's ``T < 2N`` bound — the invariant the paper's ``R > 4N``
-    choice guarantees — so a register upset that pushes a product out of
-    range fails loudly (:class:`~repro.errors.FaultDetected`) in the
-    worker instead of propagating into a silently wrong result.
+
+def _modexp_chain(base: int, exponent: int, r2: int) -> _Chain:
+    """Algorithm 3 as a coroutine: yield operands, receive products.
+
+    ``r2`` is ``R² mod N`` in the multiplier's Montgomery convention.  The
+    sequence is the paper's — conversion ``Mont(x, R²)``, MSB-first
+    squares with conditional multiplies, and the final ``Mont(A, 1)``,
+    whose product is the chain's return value.  Backends drive it one
+    chain at a time (:func:`_square_multiply`), as K same-exponent chains
+    in lock-step over bit-sliced lanes (:class:`RTLBackend`), or as
+    interleaved chains on the chip
+    (:class:`~repro.chip.backend.ChipBackend`).
     """
-
-    def step(x: int, y: int) -> int:
-        t = mont(x, y)
-        if n is not None and not walter_bound_ok(t, n):
-            raise FaultDetected(
-                f"Montgomery product {t} outside [0, {2 * n}) — Walter "
-                "T < 2N invariant violated mid-exponentiation",
-                check="walter-bound",
-            )
-        return t
-
-    m_bar = step(base, ctx_r2)
+    m_bar = yield (base, r2)
     a = m_bar
     for i in reversed(range(exponent.bit_length() - 1)):
-        a = step(a, a)
+        a = yield (a, a)
         if (exponent >> i) & 1:
-            a = step(a, m_bar)
-    return step(a, 1)
+            a = yield (a, m_bar)
+    return (yield (a, 1))
+
+
+def _check_walter(t: int, n: int, what: str = "Montgomery product") -> int:
+    """Return ``t`` if it satisfies Walter's ``T < 2N`` bound, else raise.
+
+    The bound is the invariant the paper's ``R > 4N`` choice guarantees,
+    so a register upset that pushes a product out of range fails loudly
+    (:class:`~repro.errors.FaultDetected`) in the worker instead of
+    propagating into a silently wrong result.
+    """
+    if not walter_bound_ok(t, n):
+        raise FaultDetected(
+            f"{what} {t} outside [0, {2 * n}) — Walter T < 2N invariant "
+            "violated mid-exponentiation",
+            check="walter-bound",
+        )
+    return t
+
+
+def _square_multiply(mont, r2: int, base: int, exponent: int, n: int) -> int:
+    """Drive one Algorithm 3 chain over a Montgomery-multiply callable.
+
+    ``mont(x, y)`` must compute ``x·y·R⁻¹ mod N`` for whatever ``R`` the
+    backend uses; ``r2`` is ``R² mod N`` in the same convention.  Every
+    product is checked against Walter's bound (:func:`_check_walter`).
+    """
+    chain = _modexp_chain(base, exponent, r2)
+    operands = next(chain)
+    while True:
+        product = _check_walter(mont(*operands), n)
+        try:
+            operands = chain.send(product)
+        except StopIteration as fin:
+            return fin.value
+
+
+def _check_cycles(l: int, exponent: int, cycles: int) -> None:
+    """Eq. (10) cross-check: measured cycles equal the closed-form model."""
+    from repro.systolic.timing import exponentiation_cycles_measured_model
+
+    expected = exponentiation_cycles_measured_model(l, exponent).total
+    if cycles != expected:
+        raise AssertionError(f"measured {cycles} cycles, cost model says {expected}")
 
 
 # ----------------------------------------------------------------------
@@ -286,24 +325,33 @@ class CRTBackend(ModExpBackend):
         return BackendResult(m_q + h * q, cycles)
 
 
-class _NetlistBackend(ModExpBackend):
-    """Shared machinery of the two netlist-simulation backends.
+class RTLBackend(ModExpBackend):
+    """Cycle-accurate systolic MMMC (the paper's datapath) on compiled kernels.
 
-    Each operand width gets one elaborated :class:`GateLevelMMMC`, reused
-    across requests — a scalar instance for :meth:`execute` and a K-lane
-    instance for the bit-sliced :meth:`execute_many` path.  Both run the
-    compiled kernel engine and share one codegen'd kernel through the
-    structural-key cache (lane count is bound per simulator, not per
-    kernel).  The simulators are stateful, so a lock keeps thread workers
-    from interleaving multiplications on one instance.
+    Every multiplication runs through the gate-level netlist of the MMMC
+    (:class:`~repro.systolic.mmmc_netlist.GateLevelMMMC`) on the compiled
+    kernel engine, which the equivalence suite proves cycle- and
+    bit-identical to the behavioral :class:`~repro.systolic.mmmc.MMMC`
+    and to the interpreted simulator.  Each operand width gets one scalar
+    instance for :meth:`execute` and one K-lane instance for the
+    bit-sliced :meth:`execute_many` path; they share one codegen'd kernel
+    through the structural-key cache (lane count is bound per simulator,
+    not per kernel).  The simulators are stateful, so a lock keeps thread
+    workers from interleaving multiplications on one instance.
     """
 
-    #: netlist simulator engine for the cached instances
-    simulator = "compiled"
+    name = "rtl"
+    capabilities = BackendCapabilities(
+        description="cycle-accurate MMMC on compiled gate-level kernels",
+        max_bits=64,
+        cycle_accurate=True,
+        simulator=True,
+        process_safe=False,
+        lanes=64,
+    )
+    wall_weight = 200.0
 
     def __init__(self) -> None:
-        import threading
-
         self._scalar: Dict[int, object] = {}
         self._vector: Dict[int, object] = {}
         self._lock = threading.Lock()
@@ -314,48 +362,77 @@ class _NetlistBackend(ModExpBackend):
         if inst is None:
             from repro.systolic.mmmc_netlist import GateLevelMMMC
 
-            inst = cache[l] = GateLevelMMMC(
-                l, simulator=self.simulator, lanes=max(lanes, 1)
-            )
+            inst = cache[l] = GateLevelMMMC(l, simulator="compiled", lanes=lanes)
         return inst
+
+    def execute(self, ctx, request):
+        n = ctx.modulus
+        cycles = 0
+        with self._lock:
+            gate = self._mmmc(ctx.l)
+
+            def mont(x: int, y: int) -> int:
+                nonlocal cycles
+                rec = gate.multiply(x, y, n)
+                cycles += rec.cycles
+                return rec.result
+
+            value = _square_multiply(
+                mont, ctx.r2_mod_n, request.base, request.exponent, n
+            )
+        _check_cycles(ctx.l, request.exponent, cycles)
+        return BackendResult(value % n, cycles)
 
     def _execute_lanes(
         self, ctx: MontgomeryContext, requests: List[ModExpRequest]
     ) -> List[BackendResult]:
-        """One square-and-multiply schedule, K bases as bit-sliced lanes.
+        """K same-exponent chains in lock-step, one bit-sliced sweep a step.
 
         Caller holds ``self._lock`` and guarantees every request shares
-        ``ctx`` and the exponent (the lanes advance in lock-step, so the
-        multiplication schedule must be common).
+        ``ctx`` and the exponent: the lanes advance together, so the
+        multiplication schedule must be common.
         """
         n = ctx.modulus
-        exponent = requests[0].exponent
         gate = self._mmmc(ctx.l, self.capabilities.lanes)
-        k = len(requests)
-        ns = [n] * k
+        chains = [_modexp_chain(r.base, r.exponent, ctx.r2_mod_n) for r in requests]
+        pairs = [next(chain) for chain in chains]
+        ns = [n] * len(requests)
         cycles = 0
-
-        def mont(xs: List[int], ys: List[int]) -> List[int]:
-            nonlocal cycles
-            runs = gate.multiply_lanes(xs, ys, ns)
+        while True:
+            runs = gate.multiply_lanes([x for x, _ in pairs], [y for _, y in pairs], ns)
             cycles += runs[0].cycles  # lock-step: every lane pays the same
-            for k, r in enumerate(runs):
-                if not walter_bound_ok(r.result, n):
-                    raise FaultDetected(
-                        f"lane {k}: Montgomery product {r.result} outside "
-                        f"[0, {2 * n}) — Walter T < 2N invariant violated",
-                        check="walter-bound",
-                    )
-            return [r.result for r in runs]
+            products = [
+                _check_walter(run.result, n, f"lane {k}: Montgomery product")
+                for k, run in enumerate(runs)
+            ]
+            try:
+                pairs = [chain.send(p) for chain, p in zip(chains, products)]
+            except StopIteration:
+                # A shared exponent is a shared schedule: every chain ends
+                # on this step, returning the product it was just sent.
+                break
+        _check_cycles(ctx.l, requests[0].exponent, cycles)
+        return [BackendResult(p % n, cycles) for p in products]
 
-        m_bar = mont([r.base for r in requests], [ctx.r2_mod_n] * k)
-        a = m_bar
-        for i in reversed(range(exponent.bit_length() - 1)):
-            a = mont(a, a)
-            if (exponent >> i) & 1:
-                a = mont(a, m_bar)
-        a = mont(a, [1] * k)
-        return [BackendResult(v % n, cycles) for v in a]
+    def execute_many(self, ctx, requests):
+        """Same-exponent lane groups as one sweep each; singletons scalar.
+
+        A one-request group stays on the scalar instance: sweeping one
+        live lane of a 64-lane kernel costs more than the scalar kernel.
+        """
+        # Imported here: repro.serving.scheduler imports this module.
+        from repro.serving.scheduler import lane_groups
+
+        done: Dict[int, Deque[BackendResult]] = defaultdict(deque)
+        for group in lane_groups(requests, self.capabilities.lanes):
+            if len(group) == 1:
+                outs = [self.execute(ctx, group[0])]
+            else:
+                with self._lock:
+                    outs = self._execute_lanes(ctx, group)
+            done[group[0].exponent].extend(outs)
+        # lane_groups keeps batch order within an exponent.
+        return [done[r.exponent].popleft() for r in requests]
 
     def execute_with_register_fault(self, ctx, request, rng):
         """Chaos hook: one seeded register bit flip mid-exponentiation.
@@ -394,139 +471,6 @@ class _NetlistBackend(ModExpBackend):
                 if mults == target:
                     gate.schedule_fault(site)
                 mults += 1
-                rec = gate.multiply(x, y, n)
-                cycles += rec.cycles
-                return rec.result
-
-            value = _square_multiply(
-                mont, ctx.r2_mod_n, request.base, request.exponent, n=n
-            )
-        return BackendResult(value % n, cycles)
-
-    def execute_many(self, ctx, requests):
-        lanes = max(self.capabilities.lanes, 1)
-        results: List[Optional[BackendResult]] = [None] * len(requests)
-        groups: Dict[int, List[int]] = {}
-        for i, request in enumerate(requests):
-            groups.setdefault(request.exponent, []).append(i)
-        for members in groups.values():
-            for lo in range(0, len(members), lanes):
-                chunk = members[lo : lo + lanes]
-                if len(chunk) == 1:
-                    results[chunk[0]] = self.execute(ctx, requests[chunk[0]])
-                else:
-                    with self._lock:
-                        outs = self._execute_lanes(
-                            ctx, [requests[i] for i in chunk]
-                        )
-                    for i, out in zip(chunk, outs):
-                        results[i] = out
-        return results
-
-
-class RTLBackend(_NetlistBackend):
-    """Cycle-accurate systolic MMMC model (the paper's datapath).
-
-    Runs the full exponentiator protocol — pre/scan/post with the
-    measured-vs-model cycle cross-check — over the gate-level netlist
-    twin on compiled kernels by default (``engine="gate"``), which the
-    equivalence suite proves cycle- and bit-identical to the behavioral
-    model.  ``engine="rtl"`` falls back to the behavioral
-    :class:`~repro.systolic.mmmc.MMMC` (needed e.g. for controller state
-    traces, which the netlist twin does not log).
-    """
-
-    name = "rtl"
-    capabilities = BackendCapabilities(
-        description="cycle-accurate MMMC on compiled gate-level kernels",
-        max_bits=64,
-        cycle_accurate=True,
-        simulator=True,
-        process_safe=False,
-        lanes=64,
-    )
-    wall_weight = 200.0
-
-    def __init__(self, engine: str = "gate") -> None:
-        from dataclasses import replace
-
-        super().__init__()
-        if engine not in ("gate", "rtl"):
-            raise ParameterError(f"unknown rtl-backend engine {engine!r}")
-        self.engine = engine
-        if engine == "rtl":
-            # Behavioral fallback: no netlist, no lane packing.
-            self.capabilities = replace(
-                self.capabilities,
-                description="cycle-accurate behavioral MMMC + controller",
-                lanes=1,
-            )
-
-    def _multiplier(self, l: int):
-        if self.engine == "gate":
-            return self._mmmc(l)
-        inst = self._scalar.get(l)
-        if inst is None:
-            from repro.systolic.mmmc import MMMC
-
-            inst = self._scalar[l] = MMMC(l)
-        return inst
-
-    def execute(self, ctx, request):
-        from repro.systolic.exponentiator import ModularExponentiator
-
-        with self._lock:
-            run = ModularExponentiator(
-                ctx, engine=self.engine, multiplier=self._multiplier(ctx.l)
-            ).exponentiate(request.base, request.exponent)
-        return BackendResult(run.result, run.cycles)
-
-
-class GateLevelBackend(_NetlistBackend):
-    """Gate-level netlist simulation of the MMMC, every gate evaluated.
-
-    The most faithful tier — every AND gate of every cell is evaluated —
-    so the width ceiling stays tiny even though the compiled kernel
-    engine (the default) recovers most of the interpreter overhead.
-    ``simulator="interpreted"`` is the pre-codegen path, kept for
-    differential debugging.
-    """
-
-    name = "gate"
-    capabilities = BackendCapabilities(
-        description="gate-level MMMC netlist co-simulation, compiled kernels",
-        max_bits=10,
-        cycle_accurate=True,
-        simulator=True,
-        process_safe=False,
-        lanes=64,
-    )
-    # Compiled kernels brought the per-cycle wall cost down ~7x from the
-    # interpreted simulator's 20000x; still far above the big-int paths.
-    wall_weight = 3000.0
-
-    def __init__(self, simulator: str = "compiled") -> None:
-        from dataclasses import replace
-
-        super().__init__()
-        self.simulator = simulator
-        if simulator != "compiled":
-            # Lane packing is a compiled-kernel feature.
-            self.capabilities = replace(
-                self.capabilities,
-                description="gate-level MMMC netlist co-simulation, interpreted",
-                lanes=1,
-            )
-            self.wall_weight = 20000.0
-
-    def execute(self, ctx, request):
-        n = ctx.modulus
-        cycles = 0
-        with self._lock:
-            gate = self._mmmc(ctx.l)
-
-            def mont(x: int, y: int) -> int:
-                nonlocal cycles
                 rec = gate.multiply(x, y, n)
                 cycles += rec.cycles
                 return rec.result
@@ -699,7 +643,6 @@ def default_registry() -> BackendRegistry:
         IntegerBackend(),
         CRTBackend(),
         RTLBackend(),
-        GateLevelBackend(),
         HighRadixBackend(),
         ScalableBackend(),
         ChipBackend(),

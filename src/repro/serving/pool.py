@@ -43,7 +43,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import DeadlineExceeded, ParameterError, QueueFull
 from repro.montgomery.params import MontgomeryContext
@@ -343,27 +343,6 @@ class WorkerPool:
     def load(self) -> float:
         """Window occupancy in ``[0, 1]`` — the brownout pressure signal."""
         return min(self._window.depth / max(self.queue_limit, 1), 1.0)
-
-    def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Future:
-        """Dispatch ``fn(*args, **kwargs)`` as one slot; reject when full."""
-        if self._closed:
-            raise QueueFull("worker pool is shut down")
-        self._window.reserve()
-        if self._executor is None:
-            future: Future = Future()
-            try:
-                future.set_result(fn(*args, **kwargs))
-            except BaseException as exc:  # surfaced via future.exception()
-                future.set_exception(exc)
-            self._release(future)
-            return future
-        try:
-            future = self._executor.submit(fn, *args, **kwargs)
-        except BaseException:
-            self._window.cancel_reservation()
-            raise
-        future.add_done_callback(self._release)
-        return future
 
     def submit_batch(
         self,

@@ -6,6 +6,8 @@ produce a bundle whose VCD/window, parsed back, shows the flipped
 register diverging from a **clean differential re-run** at exactly the
 injected cycle — on both the interpreted and compiled netlist engines,
 with the compiled engine's lane extraction following the faulting lane.
+The serving run is on ``rtl`` (compiled kernels); the interpreted engine
+is driven directly, since no serving backend runs it.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from repro.observability.flightrec import (
     find_bundles,
 )
 from repro.robustness import ChaosConfig, RetryPolicy, VerifyPolicy
-from repro.serving.backends import default_registry
 from repro.serving.request import ModExpRequest
 from repro.serving.service import ModExpService
 from repro.serving.wire import result_to_dict
 from repro.systolic.mmmc_netlist import GateLevelMMMC
 
-N10 = 1021  # odd 10-bit modulus (the gate backend caps at 10 bits)
+N10 = 1021  # odd 10-bit modulus
 
 
 def _reqs(count, exponent=17):
@@ -139,7 +140,7 @@ class TestServingPostMortem:
             svc.close()
 
     def test_compiled_engine_bundle_replays_divergence(self, tmp_path):
-        results = self._serve("gate", tmp_path)
+        results = self._serve("rtl", tmp_path)
         # zero silent corruptions: every delivered value is correct
         assert all(r.ok for r in results)
         assert [r.value for r in results] == [
@@ -150,7 +151,7 @@ class TestServingPostMortem:
         gate = GateLevelMMMC(10, simulator="compiled")
         for bundle in bundles:
             assert bundle.meta["engine"] == "compiled"
-            assert bundle.meta["backend"] == "gate"
+            assert bundle.meta["backend"] == "rtl"
             assert str(bundle.meta["request_id"]) in {"r4", "r13", "r25"}
             _assert_diverges_at_trigger(bundle, gate)
             # the VCD view carries the same story as the JSON window
@@ -161,16 +162,23 @@ class TestServingPostMortem:
             assert f"trigger_cycle={bundle.window.trigger_cycle}" in note
 
     def test_interpreted_engine_bundle_replays_divergence(self, tmp_path):
-        backend = default_registry().get("gate")
-        backend.simulator = "interpreted"  # per-instance engine override
-        results = self._serve(backend, tmp_path, count=20)
-        assert all(r.ok for r in results)
-        bundles = _bitflip_bundles(tmp_path)
-        assert bundles
         gate = GateLevelMMMC(10, simulator="interpreted")
+        hub = FlightRecorderHub(dump_dir=str(tmp_path), pre=32, post=6)
+        sites = [
+            FaultSite(cycle=cycle, register=register, index=1)
+            for cycle, register in ((5, "t"), (9, "c0"), (14, "x_pipe"))
+        ]
+        with armed(hub):
+            for k, site in enumerate(sites):
+                hub.set_context(request_id=f"r{k}")
+                gate.schedule_fault(site)
+                gate.multiply(3 + k, 700 - k, N10)
+        bundles = _bitflip_bundles(tmp_path)
+        assert len(bundles) == len(sites)
+        replay = GateLevelMMMC(10, simulator="interpreted")
         for bundle in bundles:
             assert bundle.meta["engine"] == "interpreted"
-            _assert_diverges_at_trigger(bundle, gate)
+            _assert_diverges_at_trigger(bundle, replay)
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +227,7 @@ class TestCompiledLaneExtraction:
 class TestBundleAttachment:
     def test_verify_failure_attaches_bundle_path(self, tmp_path):
         svc = ModExpService(
-            backend="gate",
+            backend="rtl",
             workers=1,
             worker_kind="inline",
             chaos=ChaosConfig(

@@ -29,7 +29,6 @@ class TestRegistry:
         assert reg.names() == [
             "chip",
             "crt-rsa",
-            "gate",
             "highradix",
             "integer",
             "rtl",
@@ -39,6 +38,16 @@ class TestRegistry:
     def test_get_unknown_backend_lists_known(self):
         with pytest.raises(ParameterError, match="integer"):
             default_registry().get("does-not-exist")
+
+    def test_gate_name_is_gone(self):
+        """``gate`` ran the same compiled netlist as ``rtl``; asking for
+        it fails loudly and points at ``rtl``."""
+        from repro.serving import ModExpService
+
+        with pytest.raises(ParameterError, match="rtl"):
+            default_registry().get("gate")
+        with pytest.raises(ParameterError, match="rtl"):
+            ModExpService(backend="gate")
 
     def test_duplicate_registration_rejected_unless_replace(self):
         reg = default_registry()
@@ -82,7 +91,7 @@ class TestCapabilityScreen:
 
     def test_simulators_are_thread_only(self):
         reg = default_registry()
-        for name in ("rtl", "gate"):
+        for name in ("rtl", "chip"):
             caps = reg.get(name).capabilities
             assert caps.simulator and not caps.process_safe
         assert reg.get("integer").capabilities.process_safe

@@ -128,7 +128,6 @@ class TestBackendsCommand:
             "integer",
             "crt-rsa",
             "rtl",
-            "gate",
             "highradix",
             "scalable",
             "chip",

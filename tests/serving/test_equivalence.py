@@ -21,14 +21,16 @@ from repro.utils.rng import random_odd_modulus
 
 REGISTRY = default_registry()
 
-#: vectors per backend; simulators get few (they step every cycle).
+#: vectors per vector set; simulators get few (they step every cycle).
+#: A set is named after its backend; ``rtl@7`` is a second set for
+#: ``rtl`` that keeps netlist widths up to 10 bits covered.
 VECTORS = {
     "integer": 6,
     "crt-rsa": 4,
     "highradix": 6,
     "scalable": 4,
     "rtl": 3,
-    "gate": 2,
+    "rtl@7": 2,
     "chip": 2,
 }
 
@@ -39,7 +41,7 @@ BITS = {
     "highradix": 80,
     "scalable": 56,
     "rtl": 12,
-    "gate": 7,
+    "rtl@7": 7,
     "chip": 10,
 }
 
@@ -65,9 +67,9 @@ def _vectors(name: str) -> list:
     return out
 
 
-@pytest.mark.parametrize("name", REGISTRY.names())
+@pytest.mark.parametrize("name", REGISTRY.names() + ["rtl@7"])
 def test_backend_matches_builtin_pow(name):
-    backend = REGISTRY.get(name)
+    backend = REGISTRY.get(name.partition("@")[0])
     for request in _vectors(name):
         assert backend.reject_reason(request) is None
         ctx = precompute_montgomery_constants(request.modulus, request.l)
@@ -77,9 +79,9 @@ def test_backend_matches_builtin_pow(name):
         )
 
 
-@pytest.mark.parametrize("name", REGISTRY.names())
+@pytest.mark.parametrize("name", REGISTRY.names() + ["rtl@7"])
 def test_backend_reports_cycles(name):
-    backend = REGISTRY.get(name)
+    backend = REGISTRY.get(name.partition("@")[0])
     request = _vectors(name)[0]
     ctx = precompute_montgomery_constants(request.modulus, request.l)
     result = backend.execute(ctx, request)

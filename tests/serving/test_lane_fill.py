@@ -15,7 +15,7 @@ import pytest
 from repro.montgomery.params import precompute_montgomery_constants
 from repro.observability import MetricsRegistry, observe
 from repro.serving import ModExpRequest, ModExpService
-from repro.serving.backends import GateLevelBackend
+from repro.serving.backends import RTLBackend
 from repro.utils.rng import random_odd_modulus
 
 LANES = 64
@@ -48,7 +48,7 @@ class TestBackendLaneFill:
         reqs = _mixed_requests(rng, [n], [19, 23], 8)
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            results = GateLevelBackend().execute_many(ctx, reqs)
+            results = RTLBackend().execute_many(ctx, reqs)
         for req, res in zip(reqs, results):
             assert res.value == pow(req.base, req.exponent, n)
 
@@ -70,7 +70,7 @@ class TestBackendLaneFill:
         reqs = _mixed_requests(rng, [n], [5, 7, 11], 3)  # singleton groups
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            GateLevelBackend().execute_many(ctx, reqs)
+            RTLBackend().execute_many(ctx, reqs)
         assert "hdl.lane_fill" not in registry
         assert registry.counter("hdl.lanes_packed").total() == 0
 
@@ -82,7 +82,7 @@ class TestServiceGroupAccounting:
         reqs = _mixed_requests(rng, moduli, exponents, count)
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            with ModExpService(backend="gate", max_batch=max_batch) as svc:
+            with ModExpService(backend="rtl", max_batch=max_batch) as svc:
                 results = svc.process(reqs)
         for req, res in zip(reqs, results):
             assert res.ok, res
@@ -116,7 +116,7 @@ class TestServiceGroupAccounting:
         reqs += _mixed_requests(rng, [n], [257], 3)
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            with ModExpService(backend="gate", max_batch=64) as svc:
+            with ModExpService(backend="rtl", max_batch=64) as svc:
                 results = svc.process(reqs)
         assert all(r.ok for r in results)
         groups = registry.histogram("serving.lane_group_size").aggregate()

@@ -10,26 +10,29 @@ import pytest
 from repro.errors import ParameterError, QueueFull
 from repro.observability import MetricsRegistry, observe
 from repro.serving.pool import WorkerPool
+from tests.serving.conftest import MODULUS, GatedBackend, submit_one
 
 
-def _add(a, b):
-    return a + b
+def _value(base, exponent=65537):
+    return pow(base, exponent, MODULUS)
 
 
 class TestBasics:
     @pytest.mark.parametrize("kind", ["inline", "thread"])
     def test_submit_returns_result(self, kind):
-        with WorkerPool(workers=2, kind=kind) as pool:
-            assert pool.submit(_add, 2, 3).result(timeout=30) == 5
+        with WorkerPool(workers=2, kind=kind, backend=GatedBackend()) as pool:
+            value, cycles, _, _ = submit_one(pool, 5).result(timeout=30)
+        assert (value, cycles) == (_value(5), 1)
 
     def test_inline_runs_on_caller_thread(self):
-        with WorkerPool(kind="inline") as pool:
-            ident = pool.submit(threading.get_ident).result()
-        assert ident == threading.get_ident()
+        backend = GatedBackend()
+        with WorkerPool(kind="inline", backend=backend) as pool:
+            submit_one(pool).result()
+        assert backend.threads == [threading.get_ident()]
 
     def test_exceptions_surface_via_future(self):
-        with WorkerPool(kind="inline") as pool:
-            future = pool.submit(int, "not a number")
+        with WorkerPool(kind="inline", backend=GatedBackend()) as pool:
+            future = submit_one(pool, exponent=2)
         assert isinstance(future.exception(), ValueError)
 
     def test_bad_parameters_rejected(self):
@@ -46,20 +49,23 @@ class TestBackpressure:
         """The acceptance regression: a full bounded queue raises QueueFull
         immediately; it never blocks the submitter."""
         release = threading.Event()
-        pool = WorkerPool(workers=1, kind="thread", queue_limit=2)
+        pool = WorkerPool(
+            workers=1, kind="thread", queue_limit=2, backend=GatedBackend(release)
+        )
         try:
-            first = pool.submit(release.wait, 30)  # occupies the worker
-            second = pool.submit(release.wait, 30)  # sits in the queue
+            first = submit_one(pool, 3)  # occupies the worker
+            second = submit_one(pool, 4)  # sits in the queue
             assert pool.depth == 2
             t0 = time.monotonic()
             with pytest.raises(QueueFull, match="2/2"):
-                pool.submit(release.wait, 30)
+                submit_one(pool, 5)
             # Rejection must be immediate (no hidden blocking path).
             assert time.monotonic() - t0 < 1.0
             release.set()
-            assert first.result(timeout=30) and second.result(timeout=30)
+            assert first.result(timeout=30)[0] == _value(3)
+            assert second.result(timeout=30)[0] == _value(4)
             assert pool.wait_for_capacity(timeout=30)
-            assert pool.submit(_add, 1, 1).result(timeout=30) == 2
+            assert submit_one(pool, 6).result(timeout=30)[0] == _value(6)
         finally:
             release.set()
             pool.shutdown()
@@ -68,9 +74,11 @@ class TestBackpressure:
         registry = MetricsRegistry()
         release = threading.Event()
         with observe(metrics=registry):
-            pool = WorkerPool(workers=1, kind="thread", queue_limit=4)
+            pool = WorkerPool(
+                workers=1, kind="thread", queue_limit=4, backend=GatedBackend(release)
+            )
             try:
-                futures = [pool.submit(release.wait, 30) for _ in range(3)]
+                futures = [submit_one(pool, 3 + i) for i in range(3)]
                 assert registry.gauge("serving.queue_depth").value() == 3
                 release.set()
                 for f in futures:
@@ -86,10 +94,10 @@ class TestBackpressure:
         assert registry.gauge("serving.queue_depth").value() == 0
 
     def test_submit_after_shutdown_rejects(self):
-        pool = WorkerPool(kind="thread")
+        pool = WorkerPool(kind="thread", backend=GatedBackend())
         pool.shutdown()
         with pytest.raises(QueueFull, match="shut down"):
-            pool.submit(_add, 1, 2)
+            submit_one(pool)
 
     def test_default_queue_limit_scales_with_workers(self):
         pool = WorkerPool(workers=3, kind="inline")

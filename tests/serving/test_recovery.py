@@ -25,6 +25,7 @@ from repro.robustness.breaker import BreakerBoard
 from repro.serving.pool import WorkerPool
 from repro.serving.request import ModExpRequest
 from repro.serving.service import ModExpService
+from tests.serving.conftest import MODULUS, GatedBackend, submit_one
 
 N = 0xC96F4F3C6D21E1F1A9F5A8B7 | 1  # 96-bit odd modulus
 
@@ -55,12 +56,14 @@ class TestPoolSlotRelease:
         task held its in-flight slot forever; enough of them saturated
         the window permanently and every later submit deadlocked."""
         release = threading.Event()
-        pool = WorkerPool(workers=1, kind="thread", queue_limit=2)
+        pool = WorkerPool(
+            workers=1, kind="thread", queue_limit=2, backend=GatedBackend(release)
+        )
         try:
-            stuck = [pool.submit(release.wait, 30) for _ in range(2)]
+            stuck = [submit_one(pool, 3 + i) for i in range(2)]
             # Window is saturated by wedged tasks: submission rejects.
             with pytest.raises(QueueFull):
-                pool.submit(lambda: None)
+                submit_one(pool)
             # The running task's slot is released by abandon itself; the
             # queued one's by cancel()'s done callback — either way the
             # window fully drains.
@@ -69,9 +72,9 @@ class TestPoolSlotRelease:
             assert pool.depth == 0
             # The freed window admits new work — this is the submission
             # that raised QueueFull forever pre-fix.
-            replacement = pool.submit(lambda: 7)
+            replacement = submit_one(pool, 7)
             release.set()  # the wedged worker drains and picks it up
-            assert replacement.result(timeout=10) == 7
+            assert replacement.result(timeout=10)[0] == pow(7, 65537, MODULUS)
             time.sleep(0.05)  # abandoned task finishing must not double-free
             assert pool.depth == 0
         finally:
@@ -79,9 +82,11 @@ class TestPoolSlotRelease:
             pool.shutdown(wait=False)
 
     def test_abandon_is_idempotent_with_the_done_callback(self):
-        pool = WorkerPool(workers=1, kind="thread", queue_limit=4)
+        pool = WorkerPool(
+            workers=1, kind="thread", queue_limit=4, backend=GatedBackend()
+        )
         try:
-            f = pool.submit(lambda: 1)
+            f = submit_one(pool)
             f.result(timeout=10)
             time.sleep(0.05)  # let the done callback release first
             assert not pool.abandon(f)  # already released: no double-free
@@ -352,11 +357,11 @@ class TestChaosAcceptance:
         assert registry.counter("serving.faults_detected").total() >= 1
         assert registry.counter("serving.worker_restarts").total() >= 1
 
-    def test_register_level_flips_on_the_gate_backend(self):
+    def test_register_level_flips_on_the_rtl_backend(self):
         """Bit flips land in real netlist DFFs mid-multiplication; the
         verifier (range / residue) still catches every corruption."""
         svc = ModExpService(
-            backend="gate",
+            backend="rtl",
             workers=1,
             worker_kind="thread",
             chaos=ChaosConfig(seed=3, bitflip_rate=0.5),
