@@ -23,9 +23,11 @@ Algorithm 2's trace is perfectly flat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.errors import ParameterError
+from repro.montgomery.algorithms import montgomery_loop
+from repro.montgomery.exponent import run_chain
 from repro.montgomery.params import MontgomeryContext
 from repro.systolic.timing import mmm_cycles
 
@@ -56,21 +58,6 @@ class SubtractionTrace:
         return self.leak_count / len(self.subtractions) if self.subtractions else 0.0
 
 
-def _mont_with_flag(ctx: MontgomeryContext, x: int, y: int) -> Tuple[int, bool]:
-    """Classical radix-2 Montgomery (R = 2^l) with the subtraction flag."""
-    n = ctx.modulus
-    t = 0
-    y0 = y & 1
-    for i in range(ctx.l):
-        x_i = (x >> i) & 1
-        m_i = (t ^ (x_i & y0)) & 1
-        t = (t + x_i * y + m_i * n) >> 1
-    subtracted = t >= n
-    if subtracted:
-        t -= n
-    return t, subtracted
-
-
 def subtraction_trace(
     modulus: int, message: int, exponent: int
 ) -> SubtractionTrace:
@@ -87,17 +74,15 @@ def subtraction_trace(
     r1_sq = pow(1 << ctx.l, 2, modulus)
     flags: List[bool] = []
 
-    def mont(x: int, y: int) -> int:
-        v, f = _mont_with_flag(ctx, x, y)
-        flags.append(f)
-        return v
+    def mont(kind: str, x: int, y: int) -> int:
+        # Classical radix-2 Montgomery (R1 = 2^l): l iterations, then the
+        # conditional subtraction whose firing is the leak.
+        t = montgomery_loop(x, y, modulus, ctx.l)
+        subtracted = t >= modulus
+        flags.append(subtracted)
+        return t - modulus if subtracted else t
 
-    a = m_bar = mont(message, r1_sq)
-    for i in reversed(range(exponent.bit_length() - 1)):
-        a = mont(a, a)
-        if (exponent >> i) & 1:
-            a = mont(a, m_bar)
-    result = mont(a, 1)
+    result = run_chain(mont, message, exponent, r1_sq)
     return SubtractionTrace(
         modulus=modulus, exponent=exponent, subtractions=flags, result=result
     )

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ParameterError
+from repro.montgomery.algorithms import montgomery_loop
+from repro.montgomery.exponent import chain_length
 from repro.montgomery.params import MontgomeryContext
 from repro.utils.validation import ensure_positive
 
@@ -44,15 +46,7 @@ def blum_paar_montgomery(ctx: MontgomeryContext, x: int, y: int) -> int:
     """
     ctx.check_operand("x", x)
     ctx.check_operand("y", y)
-    n = ctx.modulus
-    iterations = ctx.l + 3
-    y0 = y & 1
-    t = 0
-    for i in range(iterations):
-        x_i = (x >> i) & 1
-        m_i = (t ^ (x_i & y0)) & 1
-        t = (t + x_i * y + m_i * n) >> 1
-    return t
+    return montgomery_loop(x, y, ctx.modulus, ctx.l + 3)
 
 
 def blum_paar_mmm_cycles(l: int) -> int:
@@ -74,11 +68,8 @@ def blum_paar_exponentiation_cycles(l: int, exponent: int) -> int:
     ensure_positive("l", l)
     if exponent <= 0:
         raise ParameterError(f"exponent must be >= 1, got {exponent}")
-    mmm = blum_paar_mmm_cycles(l)
-    squares = exponent.bit_length() - 1
-    multiplies = bin(exponent).count("1") - 1
     # pre + loop + post, all full multiplications in their design.
-    return (2 + squares + multiplies) * mmm
+    return chain_length(exponent) * blum_paar_mmm_cycles(l)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,14 @@
 
 Where the other simulator backends run one request's square-and-multiply
 chain to completion before touching the next, this backend *interleaves
-the chains*: each request advances as the serving layer's Algorithm 3
-generator (:func:`~repro.serving.backends._modexp_chain`), which yields
-one Montgomery-multiplication operand pair at a time; the chip schedules
-the outstanding multiplications of **different** requests into wave
-slots and tiles concurrently, and each completed product resumes its
-requester's chain.  Dependencies inside one chain are honoured automatically (a
-request has at most one multiplication in flight); throughput comes from
+the chains*: each request advances as the library's one Algorithm 3
+schedule (:func:`~repro.montgomery.exponent.modexp_chain`, which every
+GF(p) exponentiator drives), yielding one Montgomery multiplication at a
+time; the chip schedules the outstanding multiplications of **different**
+requests into wave slots and tiles concurrently, and each completed
+product resumes its requester's chain.  Dependencies inside one chain are
+honoured automatically (a request has at most one multiplication in
+flight); throughput comes from
 cross-request concurrency — which is why the backend advertises
 ``mixed_exponent_lanes``: unlike the bit-sliced lane sweep, the chip does
 not need a shared multiplication schedule, so the service may hand it
@@ -32,14 +33,13 @@ import time
 from typing import Dict, List, Optional
 
 from repro.errors import DeadlineExceeded, ParameterError, SimulationError
+from repro.montgomery.exponent import Chain, modexp_chain
 from repro.montgomery.params import MontgomeryContext
 from repro.serving.backends import (
     BackendCapabilities,
     BackendResult,
     ModExpBackend,
-    _Chain,
     _check_walter,
-    _modexp_chain,
 )
 from repro.serving.request import ModExpRequest
 from repro.chip.chip import ChipModel
@@ -169,12 +169,12 @@ class ChipBackend(ModExpBackend):
         n = ctx.modulus
         with self._lock:
             chip = self._chip(ctx.l)
-            chains: Dict[int, _Chain] = {}
+            chains: Dict[int, Chain] = {}
             values: List[Optional[int]] = [None] * len(requests)
             cycles: List[int] = [0] * len(requests)
             for idx, req in enumerate(requests):
-                chain = _modexp_chain(req.base, req.exponent, ctx.r2_mod_n)
-                x, y = next(chain)
+                chain = modexp_chain(req.base, req.exponent, ctx.r2_mod_n)
+                _, x, y = next(chain)
                 chains[idx] = chain
                 chip.submit(MMMOp(x, y, n, tag=idx))
             # Generous drain bound: every chain multiplication in sequence
@@ -207,7 +207,7 @@ class ChipBackend(ModExpBackend):
                     cycles[idx] += outcome.cycles
                     chain = chains[idx]
                     try:
-                        x, y = chain.send(product)
+                        _, x, y = chain.send(product)
                     except StopIteration as fin:
                         values[idx] = fin.value % n
                         del chains[idx]

@@ -18,7 +18,7 @@ tests replay against the RTL and gate-level simulators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ParameterError, SimulationError
 from repro.montgomery.params import MontgomeryContext
@@ -26,6 +26,7 @@ from repro.montgomery.params import MontgomeryContext
 __all__ = [
     "MontgomeryStep",
     "montgomery_with_subtraction",
+    "montgomery_loop",
     "montgomery_no_subtraction",
     "montgomery_trace",
     "montgomery_reduce",
@@ -93,6 +94,34 @@ def montgomery_with_subtraction(
     return t
 
 
+def montgomery_loop(
+    x: int,
+    y: int,
+    n: int,
+    iterations: int,
+    steps: Optional[List[MontgomeryStep]] = None,
+) -> int:
+    """The radix-2 Montgomery recurrence, raw: ``x·y·2^{-iterations} mod N``.
+
+    Runs ``T = (T + x_i·Y + m_i·N) / 2`` for ``i < iterations`` with no
+    operand or window checks, appending one :class:`MontgomeryStep` per
+    iteration to ``steps`` when given.  Every radix-2 multiplier in the
+    library is this loop with its own iteration count: Algorithm 2
+    (``l+2``), Blum–Paar (``l+3``), the classical Algorithm 1 multiply of
+    the side-channel analysis (``l``) and the Walter-bound probe (any
+    ``r``).
+    """
+    y0 = y & 1
+    t = 0
+    for i in range(iterations):
+        x_i = (x >> i) & 1
+        m_i = (t ^ (x_i & y0)) & 1  # (t0 + x_i*y0) mod 2, N' = 1
+        t = (t + x_i * y + m_i * n) >> 1
+        if steps is not None:
+            steps.append(MontgomeryStep(index=i, x_digit=x_i, m_digit=m_i, t_after=t))
+    return t
+
+
 def montgomery_no_subtraction(ctx: MontgomeryContext, x: int, y: int) -> int:
     """Algorithm 2: radix-2 Montgomery multiplication *without* subtraction.
 
@@ -100,8 +129,7 @@ def montgomery_no_subtraction(ctx: MontgomeryContext, x: int, y: int) -> int:
     :class:`MontgomeryContext`); returns ``T ≡ x·y·R^{-1} (mod N)`` with
     ``T < 2N``, so the result feeds the next multiplication directly.
     """
-    result, _ = _run_no_subtraction(ctx, x, y, want_trace=False)
-    return result
+    return _run_no_subtraction(ctx, x, y, None)
 
 
 def montgomery_trace(
@@ -113,14 +141,16 @@ def montgomery_trace(
     the partial result after iteration ``i``.  The hardware simulators are
     validated against this trace digit by digit.
     """
-    result, steps = _run_no_subtraction(ctx, x, y, want_trace=True)
-    assert steps is not None
-    return result, steps
+    steps: List[MontgomeryStep] = []
+    return _run_no_subtraction(ctx, x, y, steps), steps
 
 
 def _run_no_subtraction(
-    ctx: MontgomeryContext, x: int, y: int, *, want_trace: bool
-) -> Tuple[int, Optional[List[MontgomeryStep]]]:
+    ctx: MontgomeryContext,
+    x: int,
+    y: int,
+    steps: Optional[List[MontgomeryStep]],
+) -> int:
     if ctx.word_bits != 1:
         raise ParameterError(
             "Algorithm 2 is the radix-2 algorithm; use repro.montgomery.radix "
@@ -129,34 +159,32 @@ def _run_no_subtraction(
     ctx.check_operand("x", x)
     ctx.check_operand("y", y)
     n = ctx.modulus
-    iterations = ctx.iterations  # l + 2
-    y0 = y & 1
-    steps: Optional[List[MontgomeryStep]] = [] if want_trace else None
-    t = 0
-    for i in range(iterations):
-        x_i = (x >> i) & 1
-        m_i = (t ^ (x_i & y0)) & 1  # (t0 + x_i*y0) mod 2, N' = 1
-        t = (t + x_i * y + m_i * n) >> 1
-        if steps is not None:
-            steps.append(MontgomeryStep(index=i, x_digit=x_i, m_digit=m_i, t_after=t))
+    t = montgomery_loop(x, y, n, ctx.iterations, steps)  # l + 2
     if t >= 2 * n:
         # The Walter bound guarantees this never happens; hitting it means
         # the context was constructed inconsistently.
         raise SimulationError(
             f"Algorithm 2 output {t} >= 2N={2 * n}: Walter bound violated"
         )
-    return t, steps
+    return t
 
 
-def montgomery_reduce(ctx: MontgomeryContext, value: int) -> int:
+def montgomery_reduce(
+    ctx: MontgomeryContext,
+    value: int,
+    mont: Callable[[MontgomeryContext, int, int], int] = montgomery_no_subtraction,
+) -> int:
     """Montgomery reduction: ``Mont(value, 1) = value·R^{-1}``, bounded by N.
 
     This is the paper's post-processing step — one multiplication by 1
     converts out of the Montgomery domain.  The paper argues the result is
     ``<= N`` and equality cannot occur for nonzero residues; we return the
     value reduced into ``[0, N)`` and assert the paper's bound held.
+    ``mont`` is the multiplier that performs the pass (the golden
+    Algorithm 2 unless a hardware model is substituted), so the bound is
+    checked on whatever engine produced the product.
     """
-    t = montgomery_no_subtraction(ctx, value, 1)
+    t = mont(ctx, value, 1)
     if t > ctx.modulus:
         raise SimulationError(
             f"Mont(T, 1) = {t} exceeded N = {ctx.modulus}; bound argument violated"

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Iterable, List, Tuple
 
 from repro.errors import ParameterError
+from repro.montgomery.algorithms import montgomery_loop
 from repro.utils.validation import ensure_odd, ensure_positive
 
 __all__ = [
@@ -93,17 +94,6 @@ class BoundProbe:
     violations: Tuple[Tuple[int, int], ...]
 
 
-def _mont_once(n: int, r_exp: int, x: int, y: int) -> int:
-    """One radix-2 Montgomery pass with R = 2^r_exp (no window checks)."""
-    t = 0
-    y0 = y & 1
-    for i in range(r_exp):
-        x_i = (x >> i) & 1
-        m_i = (t ^ (x_i & y0)) & 1
-        t = (t + x_i * y + m_i * n) >> 1
-    return t
-
-
 def probe_window_stability(
     modulus: int, r_exponent: int, operands: Iterable[Tuple[int, int]]
 ) -> BoundProbe:
@@ -119,7 +109,7 @@ def probe_window_stability(
     max_out = 0
     bound = 2 * modulus
     for x, y in operands:
-        t = _mont_once(modulus, r_exponent, x, y)
+        t = montgomery_loop(x, y, modulus, r_exponent)
         max_out = max(max_out, t)
         if t >= bound:
             violations.append((x, y))

@@ -70,7 +70,7 @@ class MontgomeryDomain:
     def leave(self, value: int) -> int:
         """Convert a domain value back to ``Z_N`` via Mont(value, 1)."""
         self.mult_count += 1
-        return montgomery_reduce(self.ctx, value) if self._mont is montgomery_no_subtraction else self._mont(self.ctx, value, 1) % self.modulus
+        return montgomery_reduce(self.ctx, value, self._mont)
 
     def mul(self, a: int, b: int) -> int:
         """Domain multiplication: the Montgomery product of two domain values."""

@@ -3,7 +3,10 @@
 Implements the paper's left-to-right square-and-multiply exponentiation both
 as a plain modular algorithm (:func:`modexp_square_multiply`) and in the
 Montgomery domain exactly as the exponentiator circuit schedules it
-(:func:`montgomery_modexp`):
+(:func:`modexp_chain`, the one schedule every GF(p) Montgomery
+exponentiator in the library drives — :func:`montgomery_modexp`, the
+systolic :class:`~repro.systolic.exponentiator.ModularExponentiator`, the
+side-channel analysis and every serving backend):
 
 1. pre-processing — Mont(M, R² mod N) maps the message into the domain;
 2. the scan of the exponent from bit ``t-2`` downward, squaring every step
@@ -19,7 +22,7 @@ validated against it operation by operation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Callable, Generator, List, Tuple
 
 from repro.errors import ParameterError
 from repro.montgomery.algorithms import montgomery_no_subtraction
@@ -27,6 +30,10 @@ from repro.montgomery.params import MontgomeryContext
 from repro.utils.validation import ensure_positive
 
 __all__ = [
+    "Chain",
+    "modexp_chain",
+    "chain_length",
+    "run_chain",
     "modexp_square_multiply",
     "montgomery_modexp",
     "montgomery_modexp_rtl",
@@ -77,6 +84,58 @@ class ExponentiationTrace:
         return len(self.operations)
 
 
+#: yields ``(kind, x, y)`` operations, receives each Montgomery product
+#: back, returns the final ``Mont(A, 1)`` product.
+Chain = Generator[Tuple[str, int, int], int, int]
+
+
+def modexp_chain(base: int, exponent: int, r2: int) -> Chain:
+    """Algorithm 3 as a coroutine: yield operations, receive products.
+
+    ``r2`` is ``R² mod N`` in the multiplier's Montgomery convention, so
+    the same schedule serves every radix and ``R``.  The sequence is the
+    paper's: the conversion ``("pre", base, r2)``, MSB-first
+    ``("square", A, A)`` with a ``("multiply", A, M̄)`` after every 1 bit,
+    and the final ``("post", A, 1)``, whose product is the chain's return
+    value.  Callers drive it one chain at a time (:func:`run_chain`), as K
+    same-exponent chains in lock-step over bit-sliced lanes, or as
+    interleaved chains on the multi-tile chip.  ``exponent`` must be
+    >= 1; it issues :func:`chain_length` operations.
+    """
+    m_bar = yield ("pre", base, r2)
+    a = m_bar
+    for i in reversed(range(exponent.bit_length() - 1)):
+        a = yield ("square", a, a)
+        if (exponent >> i) & 1:
+            a = yield ("multiply", a, m_bar)
+    return (yield ("post", a, 1))
+
+
+def chain_length(exponent: int) -> int:
+    """Montgomery multiplications :func:`modexp_chain` issues for ``exponent``.
+
+    Pre and post, ``bit_length - 1`` squares and ``popcount - 1``
+    multiplies: ``bit_length + popcount`` in all.
+    """
+    return exponent.bit_length() + bin(exponent).count("1")
+
+
+def run_chain(
+    mont: Callable[[str, int, int], int], base: int, exponent: int, r2: int
+) -> int:
+    """Drive one :func:`modexp_chain` to completion; return its final product.
+
+    ``mont(kind, x, y)`` performs each Montgomery multiplication.
+    """
+    chain = modexp_chain(base, exponent, r2)
+    op = next(chain)
+    while True:
+        try:
+            op = chain.send(mont(*op))
+        except StopIteration as fin:
+            return fin.value
+
+
 def modexp_square_multiply(base: int, exponent: int, modulus: int) -> int:
     """Algorithm 3 verbatim: left-to-right binary square-and-multiply.
 
@@ -102,9 +161,9 @@ def montgomery_modexp(
     """Exponentiation through the Montgomery pipeline of Section 4.5.
 
     Returns ``(message^exponent mod N, trace)``.  The sequencing mirrors the
-    circuit: one pre-multiplication by ``R² mod N``, the Algorithm 3 scan
-    with every intermediate staying in the ``[0, 2N)`` window (no reductions
-    anywhere), and one final multiplication by 1.
+    circuit (:func:`modexp_chain`): one pre-multiplication by ``R² mod N``,
+    the Algorithm 3 scan with every intermediate staying in the ``[0, 2N)``
+    window (no reductions anywhere), and one final multiplication by 1.
     """
     if not 0 <= message < ctx.modulus:
         raise ParameterError(
@@ -119,14 +178,7 @@ def montgomery_modexp(
         trace.operations.append(MultOp(kind=kind, x=x, y=y, result=r))
         return r
 
-    # Pre-processing: M -> M·R (mod N), up to the 2N window.
-    m_bar = mont("pre", message, ctx.r2_mod_n)
-    a = m_bar
-    for i in reversed(range(exponent.bit_length() - 1)):
-        a = mont("square", a, a)
-        if (exponent >> i) & 1:
-            a = mont("multiply", a, m_bar)
-    result = mont("post", a, 1)
+    result = run_chain(mont, message, exponent, ctx.r2_mod_n)
     return result % ctx.modulus, trace
 
 

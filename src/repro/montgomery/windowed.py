@@ -33,6 +33,7 @@ __all__ = [
     "binary_schedule",
     "mary_schedule",
     "sliding_window_schedule",
+    "schedule_for",
     "execute_schedule",
     "windowed_modexp",
     "optimal_window",
@@ -240,20 +241,27 @@ def execute_schedule(
     return mul(ctx, a, 1) % ctx.modulus
 
 
+def schedule_for(method: str, exponent: int, window: int) -> OperationSchedule:
+    """The schedule named ``method``: ``"sliding"``, ``"mary"`` or ``"binary"``.
+
+    ``window`` is ignored by ``"binary"``.  Raises
+    :class:`~repro.errors.ParameterError` for any other method name.
+    """
+    if method == "sliding":
+        return sliding_window_schedule(exponent, window)
+    if method == "mary":
+        return mary_schedule(exponent, window)
+    if method == "binary":
+        return binary_schedule(exponent)
+    raise ParameterError(f"unknown method {method!r}")
+
+
 def windowed_modexp(
     modulus: int, message: int, exponent: int, window: int = 4, method: str = "sliding"
 ) -> int:
     """Convenience: windowed modular exponentiation, result in ``[0, N)``."""
     ctx = MontgomeryContext(modulus)
-    if method == "sliding":
-        sched = sliding_window_schedule(exponent, window)
-    elif method == "mary":
-        sched = mary_schedule(exponent, window)
-    elif method == "binary":
-        sched = binary_schedule(exponent)
-    else:
-        raise ParameterError(f"unknown method {method!r}")
-    return execute_schedule(ctx, sched, message)
+    return execute_schedule(ctx, schedule_for(method, exponent, window), message)
 
 
 def optimal_window(exponent_bits: int, method: str = "sliding") -> int:

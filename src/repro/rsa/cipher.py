@@ -25,9 +25,9 @@ from typing import Literal
 from repro.errors import ParameterError
 from repro.montgomery.params import precompute_montgomery_constants
 from repro.rsa.keygen import RSAKeyPair
-from repro.systolic.exponentiator import ModularExponentiator
+from repro.systolic.exponentiator import ExponentiationRun, ModularExponentiator
 
-__all__ = ["RSACipher", "RSAOperation"]
+__all__ = ["RSACipher", "RSAOperation", "crt_exponentiate"]
 
 
 @dataclass(frozen=True)
@@ -84,38 +84,11 @@ class RSACipher:
         return RSAOperation(run.result, run.cycles, run.num_multiplications)
 
     def decrypt_crt(self, ciphertext: int) -> RSAOperation:
-        """CRT decryption: two half-width exponentiations + recombination.
-
-        Garner recombination: ``h = q_inv·(m_p - m_q) mod p``,
-        ``M = m_q + h·q``.  The recombination multiply is done host-side
-        (it is one multiplication; a real device would reuse the
-        multiplier), so the cycle count reported is the two
-        exponentiations — the dominant term.
-        """
+        """CRT decryption: two half-width exponentiations + recombination
+        (:func:`crt_exponentiate`)."""
         self._check_message(ciphertext)
-        key = self.key
-
-        def half(exp_engine, prime: int, d_half: int):
-            c = ciphertext % prime
-            if d_half == 0:
-                # (p-1) | D — only reachable with toy keys; m^0 = 1 for
-                # invertible m, 0 for m = 0.  No multiplier cycles needed.
-                class _Zero:
-                    result = 1 % prime if c else 0
-                    cycles = 0
-                    num_multiplications = 0
-
-                return _Zero()
-            return exp_engine.exponentiate(c, d_half)
-
-        run_p = half(self._exp_p, key.p, key.d_p)
-        run_q = half(self._exp_q, key.q, key.d_q)
-        h = (key.q_inv * (run_p.result - run_q.result)) % key.p
-        m = run_q.result + h * key.q
-        return RSAOperation(
-            m,
-            run_p.cycles + run_q.cycles,
-            run_p.num_multiplications + run_q.num_multiplications,
+        return crt_exponentiate(
+            ciphertext, self.key.private_exponent, self._exp_p, self._exp_q
         )
 
     def sign(self, message: int) -> RSAOperation:
@@ -131,3 +104,38 @@ class RSACipher:
     def total_cycles(self) -> int:
         """Cycles consumed across all operations on all three exponentiators."""
         return self._exp.cycles + self._exp_p.cycles + self._exp_q.cycles
+
+
+def crt_exponentiate(
+    base: int,
+    exponent: int,
+    exp_p: ModularExponentiator,
+    exp_q: ModularExponentiator,
+) -> RSAOperation:
+    """``base^exponent mod p·q`` by the CRT, over one exponentiator per prime.
+
+    Two half-width exponentiations with ``exponent mod (p-1)`` and
+    ``exponent mod (q-1)``, then Garner recombination:
+    ``h = q_inv·(m_p - m_q) mod p``, ``M = m_q + h·q``.  The recombination
+    multiply is done host-side (it is one multiplication; a real device
+    would reuse the multiplier), so the cycles reported are the two
+    exponentiations — the dominant term.  A half-exponent of 0 (``p-1``
+    divides the exponent, reachable only with toy keys) spends no
+    multiplications: ``x^0`` is 1 for invertible ``x`` and 0 for ``x = 0``.
+    """
+    runs = []
+    for exp in (exp_p, exp_q):
+        prime = exp.ctx.modulus
+        residue, d_half = base % prime, exponent % (prime - 1)
+        if d_half == 0:
+            runs.append(ExponentiationRun(result=1 % prime if residue else 0, cycles=0))
+        else:
+            runs.append(exp.exponentiate(residue, d_half))
+    run_p, run_q = runs
+    p, q = exp_p.ctx.modulus, exp_q.ctx.modulus
+    h = (pow(q, -1, p) * (run_p.result - run_q.result)) % p
+    return RSAOperation(
+        run_q.result + h * q,
+        run_p.cycles + run_q.cycles,
+        run_p.num_multiplications + run_q.num_multiplications,
+    )

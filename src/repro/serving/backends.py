@@ -8,9 +8,11 @@ treats them as interchangeable :class:`ModExpBackend` implementations,
 each declaring :class:`BackendCapabilities` (operand-width ceiling,
 whether its cycle counts are measured or modelled, whether it is safe to
 ship to process workers) and a cost model the batch scheduler orders
-dispatch by.  Every backend but the two golden-exponentiator ones
-(``integer``, ``crt-rsa``) drives one Algorithm 3 schedule,
-:func:`_modexp_chain`.
+dispatch by.  Every backend drives the library's one Algorithm 3
+schedule, :func:`repro.montgomery.exponent.modexp_chain` — the two
+golden ones (``integer``, ``crt-rsa``) through
+:class:`~repro.systolic.exponentiator.ModularExponentiator`, the rest
+directly.
 
 All backends receive the batch's pre-computed
 :class:`~repro.montgomery.params.MontgomeryContext`, so the Montgomery
@@ -25,17 +27,16 @@ pools.
 
 from __future__ import annotations
 
+import functools
 import threading
 from abc import ABC, abstractmethod
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Generator, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional
 
 from repro.errors import FaultDetected, ParameterError
-from repro.montgomery.params import (
-    MontgomeryContext,
-    precompute_montgomery_constants,
-)
+from repro.montgomery.exponent import chain_length, modexp_chain, run_chain
+from repro.montgomery.params import MontgomeryContext
 from repro.robustness.verify import walter_bound_ok
 from repro.serving.request import ModExpRequest
 
@@ -175,31 +176,6 @@ class ModExpBackend(ABC):
         return [self.execute(ctx, request) for request in requests]
 
 
-#: yields (x, y) operand pairs, receives the Montgomery product back.
-_Chain = Generator[Tuple[int, int], int, int]
-
-
-def _modexp_chain(base: int, exponent: int, r2: int) -> _Chain:
-    """Algorithm 3 as a coroutine: yield operands, receive products.
-
-    ``r2`` is ``R² mod N`` in the multiplier's Montgomery convention.  The
-    sequence is the paper's — conversion ``Mont(x, R²)``, MSB-first
-    squares with conditional multiplies, and the final ``Mont(A, 1)``,
-    whose product is the chain's return value.  Backends drive it one
-    chain at a time (:func:`_square_multiply`), as K same-exponent chains
-    in lock-step over bit-sliced lanes (:class:`RTLBackend`), or as
-    interleaved chains on the chip
-    (:class:`~repro.chip.backend.ChipBackend`).
-    """
-    m_bar = yield (base, r2)
-    a = m_bar
-    for i in reversed(range(exponent.bit_length() - 1)):
-        a = yield (a, a)
-        if (exponent >> i) & 1:
-            a = yield (a, m_bar)
-    return (yield (a, 1))
-
-
 def _check_walter(t: int, n: int, what: str = "Montgomery product") -> int:
     """Return ``t`` if it satisfies Walter's ``T < 2N`` bound, else raise.
 
@@ -224,14 +200,9 @@ def _square_multiply(mont, r2: int, base: int, exponent: int, n: int) -> int:
     backend uses; ``r2`` is ``R² mod N`` in the same convention.  Every
     product is checked against Walter's bound (:func:`_check_walter`).
     """
-    chain = _modexp_chain(base, exponent, r2)
-    operands = next(chain)
-    while True:
-        product = _check_walter(mont(*operands), n)
-        try:
-            operands = chain.send(product)
-        except StopIteration as fin:
-            return fin.value
+    return run_chain(
+        lambda _kind, x, y: _check_walter(mont(x, y), n), base, exponent, r2
+    )
 
 
 def _check_cycles(l: int, exponent: int, cycles: int) -> None:
@@ -299,30 +270,14 @@ class CRTBackend(ModExpBackend):
         return 2 * mmm_cycles_corrected(half) * mults
 
     def execute(self, ctx, request):
+        from repro.rsa.cipher import crt_exponentiate
         from repro.systolic.exponentiator import ModularExponentiator
 
-        p, q = request.factors
-        c, d = request.base, request.exponent
-        cycles = 0
-
-        def half(prime: int) -> int:
-            nonlocal cycles
-            d_half = d % (prime - 1)
-            residue = c % prime
-            if d_half == 0:
-                # x^0 = 1 for invertible x, 0 for x = 0 — no cycles spent.
-                return 1 % prime if residue else 0
-            exp = ModularExponentiator(
-                precompute_montgomery_constants(prime), engine="golden"
-            )
-            run = exp.exponentiate(residue, d_half)
-            cycles += run.cycles
-            return run.result
-
-        m_p, m_q = half(p), half(q)
-        q_inv = pow(q, -1, p)
-        h = (q_inv * (m_p - m_q)) % p
-        return BackendResult(m_q + h * q, cycles)
+        exp_p, exp_q = (
+            ModularExponentiator.for_modulus(prime) for prime in request.factors
+        )
+        op = crt_exponentiate(request.base, request.exponent, exp_p, exp_q)
+        return BackendResult(op.value, op.cycles)
 
 
 class RTLBackend(ModExpBackend):
@@ -394,19 +349,20 @@ class RTLBackend(ModExpBackend):
         """
         n = ctx.modulus
         gate = self._mmmc(ctx.l, self.capabilities.lanes)
-        chains = [_modexp_chain(r.base, r.exponent, ctx.r2_mod_n) for r in requests]
-        pairs = [next(chain) for chain in chains]
+        chains = [modexp_chain(r.base, r.exponent, ctx.r2_mod_n) for r in requests]
+        ops = [next(chain) for chain in chains]
         ns = [n] * len(requests)
         cycles = 0
         while True:
-            runs = gate.multiply_lanes([x for x, _ in pairs], [y for _, y in pairs], ns)
+            xs, ys = [x for _, x, _ in ops], [y for _, _, y in ops]
+            runs = gate.multiply_lanes(xs, ys, ns)
             cycles += runs[0].cycles  # lock-step: every lane pays the same
             products = [
                 _check_walter(run.result, n, f"lane {k}: Montgomery product")
                 for k, run in enumerate(runs)
             ]
             try:
-                pairs = [chain.send(p) for chain, p in zip(chains, products)]
+                ops = [chain.send(p) for chain, p in zip(chains, products)]
             except StopIteration:
                 # A shared exponent is a shared schedule: every chain ends
                 # on this step, returning the product it was just sent.
@@ -460,11 +416,7 @@ class RTLBackend(ModExpBackend):
                 register=reg_class,
                 index=rng.randrange(widths[reg_class]),
             )
-            # Total mont calls of the square-and-multiply schedule below:
-            # conversion + squarings + multiplies + de-conversion.
-            e = request.exponent
-            total = 1 + (e.bit_length() - 1) + (bin(e).count("1") - 1) + 1
-            target = rng.randrange(total)
+            target = rng.randrange(chain_length(request.exponent))
 
             def mont(x: int, y: int) -> int:
                 nonlocal cycles, mults
@@ -515,17 +467,12 @@ class HighRadixBackend(ModExpBackend):
         from repro.montgomery.radix import WordMontgomeryParams, mont_mul_cios
 
         n = ctx.modulus
+        e = request.exponent
         params = WordMontgomeryParams(n, self.word_bits)
         r2 = (params.R * params.R) % n
-        mults = 0
-
-        def mont(x: int, y: int) -> int:
-            nonlocal mults
-            mults += 1
-            return mont_mul_cios(params, x, y)
-
-        value = _square_multiply(mont, r2, request.base, request.exponent, n=n)
-        cycles = HighRadixModel(ctx.l, self.word_bits).mmm_cycles * mults
+        mont = functools.partial(mont_mul_cios, params)
+        value = _square_multiply(mont, r2, request.base, e, n=n)
+        cycles = HighRadixModel(ctx.l, self.word_bits).mmm_cycles * chain_length(e)
         return BackendResult(value % n, cycles)
 
 
@@ -563,17 +510,15 @@ class ScalableBackend(ModExpBackend):
         n = ctx.modulus
         # The scalable kernel uses the classical R₁ = 2^l convention with
         # operands in [0, N), unlike the array's R = 2^(l+2) / [0, 2N).
+        e = request.exponent
         r1 = (1 << ctx.l) % n
         r2 = (r1 * r1) % n
-        mults = 0
 
         def mont(x: int, y: int) -> int:
-            nonlocal mults
-            mults += 1
             return scalable_montgomery(ctx, x, y, self.word)
 
-        value = _square_multiply(mont, r2, request.base, request.exponent, n=n)
-        cycles = scalable_mmm_cycles(ctx.l, self.word, self.stages) * mults
+        value = _square_multiply(mont, r2, request.base, e, n=n)
+        cycles = scalable_mmm_cycles(ctx.l, self.word, self.stages) * chain_length(e)
         return BackendResult(value % n, cycles)
 
 

@@ -14,20 +14,24 @@ multiplications to an engine:
   the test suite proves identical to the measured RTL count).  This makes
   RSA-scale benchmarks tractable without changing any reported number.
 
-The operation sequence is exactly the paper's: pre-multiplication by
-``R² mod N`` (into the Montgomery domain), the left-to-right binary scan,
-and the final multiplication by 1 (out of the domain).  No intermediate
+The operation sequence is exactly the paper's, the shared Algorithm 3
+schedule :func:`~repro.montgomery.exponent.modexp_chain`:
+pre-multiplication by ``R² mod N`` (into the Montgomery domain), the
+left-to-right binary scan, and the final multiplication by 1 (out of the
+domain; ``Mont(A, 1) <= N``).  No intermediate
 value is ever reduced — everything lives in the ``[0, 2N)`` window, which
 is the point of the no-subtraction bound.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from repro.errors import ParameterError
 from repro.montgomery.algorithms import montgomery_no_subtraction
+from repro.montgomery.exponent import run_chain
 from repro.montgomery.params import MontgomeryContext
 from repro.observability import OBS
 from repro.systolic.mmmc import MMMC
@@ -123,7 +127,7 @@ class ModularExponentiator:
         return cls(precompute_montgomery_constants(modulus, l), engine, mode=mode)
 
     # ------------------------------------------------------------------
-    def _mont(self, kind: str, x: int, y: int, run: ExponentiationRun) -> int:
+    def _mont(self, run: ExponentiationRun, kind: str, x: int, y: int) -> int:
         n = self.ctx.modulus
         observed = OBS.enabled
         if observed:
@@ -174,16 +178,9 @@ class ModularExponentiator:
                 engine=self.engine,
                 exponent_bits=exponent.bit_length(),
             )
-        # Pre-processing: into the Montgomery domain.
-        m_bar = self._mont("pre", message, ctx.r2_mod_n, run)
-        a = m_bar
-        # Left-to-right binary scan (Algorithm 3), MSB implicit.
-        for i in reversed(range(exponent.bit_length() - 1)):
-            a = self._mont("square", a, a, run)
-            if (exponent >> i) & 1:
-                a = self._mont("multiply", a, m_bar, run)
-        # Post-processing: out of the domain (Mont(A, 1) <= N).
-        a = self._mont("post", a, 1, run)
+        a = run_chain(
+            functools.partial(self._mont, run), message, exponent, ctx.r2_mod_n
+        )
         run.result = a % ctx.modulus
         self.cycles += run.cycles
         if OBS.enabled:
@@ -215,21 +212,9 @@ class ModularExponentiator:
         engine is ``"rtl"``), trading a precomputed power table for fewer
         multiplier passes; see the window ablation benchmark.
         """
-        from repro.montgomery.windowed import (
-            binary_schedule,
-            execute_schedule,
-            mary_schedule,
-            sliding_window_schedule,
-        )
+        from repro.montgomery.windowed import execute_schedule, schedule_for
 
-        if method == "sliding":
-            sched = sliding_window_schedule(exponent, window)
-        elif method == "mary":
-            sched = mary_schedule(exponent, window)
-        elif method == "binary":
-            sched = binary_schedule(exponent)
-        else:
-            raise ParameterError(f"unknown method {method!r}")
+        sched = schedule_for(method, exponent, window)
         run = ExponentiationRun(result=0, cycles=0)
         if OBS.enabled:
             OBS.begin(
@@ -241,7 +226,7 @@ class ModularExponentiator:
             )
 
         def hook(ctx: MontgomeryContext, x: int, y: int) -> int:
-            return self._mont("window-op", x, y, run)
+            return self._mont(run, "window-op", x, y)
 
         run.result = execute_schedule(self.ctx, sched, message, mont=hook)
         self.cycles += run.cycles

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ParameterError, SimulationError
+from repro.montgomery.exponent import chain_length
 from repro.montgomery.params import MontgomeryContext
 from repro.utils.validation import ensure_positive
 
@@ -111,5 +112,4 @@ class HighRadixMachine:
     def exponentiation_cycles(self, exponent: int) -> int:
         """Square-and-multiply cycles at this radix (pre/post included)."""
         ensure_positive("exponent", exponent)
-        ops = 2 + (exponent.bit_length() - 1) + (bin(exponent).count("1") - 1)
-        return ops * (self.datapath_cycles + 1)
+        return chain_length(exponent) * (self.datapath_cycles + 1)

@@ -2,9 +2,11 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.montgomery.algorithms import (
+    montgomery_loop,
     montgomery_no_subtraction,
     montgomery_reduce,
     montgomery_trace,
@@ -124,6 +126,31 @@ class TestTrace:
             assert total % 2 == 0, "m_i must make the sum even"
             assert s.t_after == total // 2
             prev = s.t_after
+
+
+class TestMontgomeryLoop:
+    """The one raw radix-2 recurrence every multiplier runs."""
+
+    @given(context_and_operands(2, 96), st.integers(0, 100))
+    @settings(max_examples=200)
+    def test_any_iteration_count(self, cxy, iterations):
+        """``k`` iterations consume the low ``k`` bits of x and compute
+        ``x·y·2^-k mod N`` — the l (Algorithm 1), l+2 (Algorithm 2), l+3
+        (Blum–Paar) and probe-r multipliers alike."""
+        ctx, x, y = cxy
+        n = ctx.modulus
+        t = montgomery_loop(x, y, n, iterations)
+        x_low = x & ((1 << iterations) - 1)
+        assert (t << iterations) % n == (x_low * y) % n
+
+    @given(context_and_operands(2, 64))
+    @settings(max_examples=100)
+    def test_is_algorithm2_and_its_trace(self, cxy):
+        ctx, x, y = cxy
+        steps = []
+        t = montgomery_loop(x, y, ctx.modulus, ctx.iterations, steps)
+        assert t == montgomery_no_subtraction(ctx, x, y)
+        assert (t, steps) == montgomery_trace(ctx, x, y)
 
 
 class TestMontgomeryReduce:

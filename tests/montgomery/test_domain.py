@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, SimulationError
 from repro.montgomery.domain import MontgomeryDomain
 from repro.montgomery.params import MontgomeryContext
 
@@ -100,3 +100,17 @@ class TestEngineSubstitution:
         dom = MontgomeryDomain(197, multiplier=spy)
         dom.mul(dom.enter(3), dom.enter(4))
         assert calls
+
+    def test_leave_checks_paper_bound_on_injected_multiplier(self):
+        """Mont(T, 1) <= N is checked on the injected engine too: a
+        multiplier returning T in (N, 2N) for the de-conversion must fail
+        loudly, not be silently reduced mod N."""
+        from repro.montgomery.algorithms import montgomery_no_subtraction
+
+        def off_by_n(ctx, x, y):
+            t = montgomery_no_subtraction(ctx, x, y)
+            return t + ctx.modulus if y == 1 else t
+
+        dom = MontgomeryDomain(197, multiplier=off_by_n)
+        with pytest.raises(SimulationError, match="exceeded N"):
+            dom.leave(dom.enter(5))

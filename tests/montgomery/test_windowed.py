@@ -11,6 +11,7 @@ from repro.montgomery.windowed import (
     execute_schedule,
     mary_schedule,
     optimal_window,
+    schedule_for,
     sliding_window_schedule,
     windowed_modexp,
 )
@@ -81,6 +82,14 @@ class TestExecution:
     def test_unknown_method(self):
         with pytest.raises(ParameterError):
             windowed_modexp(197, 5, 3, method="montgomery-ladder")
+
+    def test_schedule_for_names_each_method(self):
+        e = 0xBEEF
+        assert schedule_for("binary", e, 5) == binary_schedule(e)
+        assert schedule_for("mary", e, 3) == mary_schedule(e, 3)
+        assert schedule_for("sliding", e, 3) == sliding_window_schedule(e, 3)
+        with pytest.raises(ParameterError, match="unknown method"):
+            schedule_for("psychic", e, 3)
 
     def test_exponent_one(self):
         ctx = MontgomeryContext(197)

@@ -120,3 +120,69 @@ class TestReduction:
         v = x % n
         entered = montgomery_no_subtraction(ctx, v, ctx.r2_mod_n)
         assert montgomery_reduce(ctx, entered) == v
+
+
+class TestOneSchedule:
+    """Every GF(p) exponentiator drives one Algorithm 3 chain."""
+
+    @given(odd_modulus(2, 512), st.integers(min_value=0), st.integers(1, 1 << 64))
+    @settings(max_examples=60, deadline=None)
+    def test_chain_is_algorithm3_for_every_exponentiator(self, n, m_raw, e):
+        from unittest import mock
+
+        import repro.systolic.exponentiator as exponentiator_mod
+        from repro.montgomery.exponent import (
+            chain_length,
+            montgomery_modexp,
+            run_chain,
+        )
+        from repro.serving.backends import _square_multiply
+        from repro.systolic.timing import (
+            exponentiation_cycles_measured_model,
+            mmm_cycles_corrected,
+        )
+
+        ctx = MontgomeryContext(n)
+        m = m_raw % n
+
+        def recorder(ops):
+            def mont(*op):
+                ops.append(op)
+                return montgomery_no_subtraction(ctx, *op[-2:])
+
+            return mont
+
+        # Driven with Algorithm 2, the chain is pow().
+        ops = []
+        assert run_chain(recorder(ops), m, e, ctx.r2_mod_n) % n == pow(m, e, n)
+
+        # Exactly chain_length(e) operations, as the Eq. (10) model counts.
+        kinds = [kind for kind, _, _ in ops]
+        model = exponentiation_cycles_measured_model(ctx.l, e)
+        assert len(ops) == chain_length(e)
+        assert kinds[0] == "pre" and kinds[-1] == "post"
+        assert kinds.count("pre") == kinds.count("post") == 1
+        assert kinds.count("square") == e.bit_length() - 1 == model.squares
+        assert kinds.count("multiply") == bin(e).count("1") - 1 == model.multiplies
+        assert model.total == chain_length(e) * mmm_cycles_corrected(ctx.l)
+
+        # The golden engine calls Algorithm 2 through its module global.
+        operands = []
+        spy = lambda c, x, y: recorder(operands)(x, y)  # noqa: E731
+        with mock.patch.object(exponentiator_mod, "montgomery_no_subtraction", spy):
+            golden_engine = exponentiator_mod.ModularExponentiator(ctx, engine="golden")
+            run = golden_engine.exponentiate(m, e)
+        assert run.result == pow(m, e, n)
+        assert len(run.operations) == len(operands)
+        golden = [(kind, x, y) for (kind, _), (x, y) in zip(run.operations, operands)]
+        assert golden == ops
+
+        value, trace = montgomery_modexp(ctx, m, e)
+        assert value == pow(m, e, n)
+        assert [(op.kind, op.x, op.y) for op in trace.operations] == ops
+
+        # _square_multiply's multiplier sees operands only, in chain order.
+        pairs = []
+        value = _square_multiply(recorder(pairs), ctx.r2_mod_n, m, e, n)
+        assert value % n == pow(m, e, n)
+        assert pairs == [(x, y) for _, x, y in ops]

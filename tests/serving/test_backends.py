@@ -89,6 +89,19 @@ class TestCapabilityScreen:
         assert crt.reject_reason(plain) is not None
         assert crt.reject_reason(with_factors) is None
 
+    def test_crt_zero_half_exponent(self):
+        """(p-1) | exponent: that half is x^0, spending no cycles."""
+        from repro.montgomery.params import precompute_montgomery_constants
+
+        crt = default_registry().get("crt-rsa")
+        ctx = precompute_montgomery_constants(77)
+        for e in (60, 6):  # both halves zero; only the p = 7 half zero
+            for c in (0, 1, 7, 11, 12, 76):
+                req = ModExpRequest(c, e, 77, factors=(7, 11))
+                assert crt.execute(ctx, req).value == pow(c, e, 77)
+        both_zero = ModExpRequest(12, 60, 77, factors=(7, 11))
+        assert crt.execute(ctx, both_zero).cycles == 0
+
     def test_simulators_are_thread_only(self):
         reg = default_registry()
         for name in ("rtl", "chip"):
