@@ -42,9 +42,8 @@ class TestRoundTrips:
     def test_crt_zero_half_exponent(self):
         """(p-1) | D (toy keys only): that half is m^0 with no multiplier
         work — 1 for invertible residues, 0 when p divides the message."""
-        from repro.rsa.keygen import RSAKeyPair
-
         from repro.montgomery.exponent import chain_length
+        from repro.rsa.keygen import RSAKeyPair
 
         for d in (60, 6):  # both halves zero; only the p = 7 half zero
             ci = RSACipher(RSAKeyPair(77, 7, d, 7, 11))
@@ -53,6 +52,7 @@ class TestRoundTrips:
         both_zero = RSACipher(RSAKeyPair(77, 7, 60, 7, 11)).decrypt_crt(12)
         assert (both_zero.cycles, both_zero.multiplications) == (0, 0)
         assert ci.decrypt_crt(12).multiplications == chain_length(6)  # q half only
+
     def test_rtl_engine_small_key(self):
         key = generate_keypair(16, random.Random(2))
         ci = RSACipher(key, engine="rtl")
