@@ -28,7 +28,6 @@ from repro.utils.rng import random_odd_modulus
 CONFIGS: List[Tuple[str, int, int, int, str]] = [
     ("integer", 64, 40, 2, "shard"),
     ("highradix", 64, 40, 1, "inline"),
-    ("scalable", 64, 40, 1, "inline"),
     ("rtl", 12, 6, 1, "inline"),
 ]
 

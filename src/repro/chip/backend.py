@@ -19,11 +19,11 @@ Cycle accounting stays per-request and scalar-identical to the sequential
 engines: a request's reported cycles are the sum of its own MMM
 latencies (``3l+5`` each on the corrected array), untouched by how many
 neighbours shared the lattice — so the existing per-request SLO formulas
-keep holding.  The *group* completion estimate, which the chip actually
-improves, comes from
-:func:`repro.chip.schedule.completion_estimate_cycles` via
-:meth:`ChipBackend.estimate_group_cycles` and the SLO policy's
-``completion_budget``.
+keep holding, and the backend's cost is the base
+:meth:`~repro.serving.backends.ModExpBackend.model_cycles` count.  The
+group makespan the chip actually improves is modelled by
+:func:`repro.chip.schedule.completion_estimate_cycles` for the chip
+benchmarks.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from repro.errors import DeadlineExceeded, ParameterError, SimulationError
-from repro.montgomery.exponent import Chain, modexp_chain
+from repro.errors import DeadlineExceeded, SimulationError
+from repro.montgomery.exponent import Chain, chain_length, modexp_chain
 from repro.montgomery.params import MontgomeryContext
 from repro.serving.backends import (
     BackendCapabilities,
@@ -44,7 +44,6 @@ from repro.serving.backends import (
 from repro.serving.request import ModExpRequest
 from repro.chip.chip import ChipModel
 from repro.chip.interleave import MMMOp
-from repro.chip.schedule import completion_estimate_cycles, speedup_model
 
 __all__ = ["ChipBackend"]
 
@@ -55,80 +54,30 @@ class ChipBackend(ModExpBackend):
     name = "chip"
     wall_weight = 400.0  # steps W arrays per chip cycle, pure-Python governor
 
-    def __init__(
-        self,
-        *,
-        tiles: int = 2,
-        waves: int = 2,
-        engine: str = "rtl",
-        fifo_depth: int = 8,
-        dispatch: str = "least-depth",
-        mode: str = "corrected",
-        max_bits: int = 64,
-    ) -> None:
-        if engine not in ("rtl", "gate"):
-            raise ParameterError(f"chip backend engine must be rtl|gate, got {engine!r}")
-        self.tiles = tiles
-        self.waves = waves
-        self.engine = engine
-        self.fifo_depth = fifo_depth
-        self.dispatch = dispatch
-        self.mode = mode
-        self.capabilities = BackendCapabilities(
-            description=(
-                f"{tiles}-tile x {waves}-wave interleaved systolic chip "
-                f"({engine} arrays, {dispatch} dispatch)"
-            ),
-            max_bits=max_bits if engine == "rtl" else min(max_bits, 10),
-            cycle_accurate=True,
-            simulator=True,
-            process_safe=False,
-            lanes=tiles * waves,
-            mixed_exponent_lanes=True,
-        )
+    tiles = 2
+    waves = 2
+    capabilities = BackendCapabilities(
+        description=(
+            f"{tiles}-tile x {waves}-wave interleaved systolic chip "
+            "(rtl arrays, least-depth dispatch)"
+        ),
+        max_bits=64,
+        cycle_accurate=True,
+        simulator=True,
+        process_safe=False,
+        lanes=tiles * waves,
+        mixed_exponent_lanes=True,
+    )
+
+    def __init__(self) -> None:
         self._chips: Dict[int, ChipModel] = {}
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    # Cost model
-    # ------------------------------------------------------------------
-    def estimate_cost(self, request: ModExpRequest) -> float:
-        """Wall-cost estimate: sequential cost over the chip's speedup.
-
-        The scheduler orders backends by wall cost; a chip amortizes a
-        request across its concurrency, so the per-request figure is the
-        sequential model divided by the steady-state throughput gain
-        (``tiles × waves``-capped, parity-spacing-aware).
-        """
-        gain = speedup_model(
-            max(request.width, 2), tiles=self.tiles, waves=self.waves, mode=self.mode
-        )
-        return self.model_cycles(request) * self.wall_weight / max(gain, 1.0)
-
-    def estimate_group_cycles(self, requests: List[ModExpRequest]) -> int:
-        """Tile-occupancy-aware completion estimate for a whole group."""
-        if not requests:
-            return 0
-        l = max(max(r.width, 2) for r in requests)
-        mults = [2 * max(r.exponent.bit_length(), 1) for r in requests]
-        return completion_estimate_cycles(
-            mults, l, tiles=self.tiles, waves=self.waves, mode=self.mode
-        )
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def _chip(self, l: int) -> ChipModel:
         chip = self._chips.get(l)
         if chip is None:
             chip = self._chips[l] = ChipModel(
-                l,
-                tiles=self.tiles,
-                waves=self.waves,
-                mode=self.mode,
-                engine=self.engine,
-                fifo_depth=self.fifo_depth,
-                dispatcher=self.dispatch,
+                l, tiles=self.tiles, waves=self.waves, dispatcher="least-depth"
             )
         return chip
 
@@ -179,9 +128,7 @@ class ChipBackend(ModExpBackend):
                 chip.submit(MMMOp(x, y, n, tag=idx))
             # Generous drain bound: every chain multiplication in sequence
             # plus the issue slack — only a livelock can exceed it.
-            total_mults = sum(
-                2 * max(r.exponent.bit_length(), 1) + 2 for r in requests
-            )
+            total_mults = sum(chain_length(r.exponent) for r in requests)
             limit = chip.cycle + (total_mults + 1) * (
                 chip.tiles[0].array.datapath_cycles
                 + chip.tiles[0].array.issue_interval

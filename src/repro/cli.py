@@ -663,7 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("rtl", "gate"),
         default="rtl",
-        help="per-tile array substrate (gate caps l at 10)",
+        help="per-tile array substrate: behavioral RTL or the compiled "
+        "gate-level netlist",
     )
     chip.add_argument(
         "--arch", choices=("corrected", "paper"), default="corrected"

@@ -10,8 +10,7 @@ single-shot engines into a multi-worker modular-exponentiation service.
 * :mod:`repro.serving.backends` — the :class:`ModExpBackend` protocol,
   capability declarations, cost models and the registry wrapping every
   engine in the repo (integer fast path, CRT-RSA, the systolic MMMC on
-  compiled gate-level kernels, high-radix, Tenca–Koç scalable, the
-  multi-tile chip).
+  compiled gate-level kernels, high-radix, the multi-tile chip).
 * :mod:`repro.serving.scheduler` — per-modulus batch coalescing (one
   Montgomery pre-computation per batch) and deadline/cost dispatch
   ordering.

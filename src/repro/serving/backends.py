@@ -1,18 +1,21 @@
 """The backend registry: every modexp engine behind one protocol.
 
-The repository has six ways to compute ``base^exponent mod N`` — the
+The repository has five ways to compute ``base^exponent mod N`` — the
 pure-integer Algorithm 2 fast path, CRT-RSA, the systolic MMMC on
-compiled gate-level kernels, word-based high-radix software, the
-Tenca–Koç word-serial model and the multi-tile chip.  The serving layer
-treats them as interchangeable :class:`ModExpBackend` implementations,
-each declaring :class:`BackendCapabilities` (operand-width ceiling,
-whether its cycle counts are measured or modelled, whether it is safe to
-ship to process workers) and a cost model the batch scheduler orders
-dispatch by.  Every backend drives the library's one Algorithm 3
-schedule, :func:`repro.montgomery.exponent.modexp_chain` — the two
-golden ones (``integer``, ``crt-rsa``) through
+compiled gate-level kernels, word-based high-radix software and the
+multi-tile chip.  The serving layer treats them as interchangeable
+:class:`ModExpBackend` implementations, each declaring
+:class:`BackendCapabilities` (operand-width ceiling, whether its cycle
+counts are measured or modelled, whether it is safe to ship to process
+workers) and a cost the batch scheduler orders dispatch by.  Every
+backend drives the library's one Algorithm 3 schedule,
+:func:`repro.montgomery.exponent.modexp_chain` — the two golden ones
+(``integer``, ``crt-rsa``) through
 :class:`~repro.systolic.exponentiator.ModularExponentiator`, the rest
-directly.
+directly — and its cost is an exact count of that schedule,
+:func:`~repro.montgomery.exponent.chain_length` multiplications times the
+backend's per-multiplication latency, so ``model_cycles`` equals the
+cycles ``execute`` reports.
 
 All backends receive the batch's pre-computed
 :class:`~repro.montgomery.params.MontgomeryContext`, so the Montgomery
@@ -50,7 +53,6 @@ __all__ = [
     "CRTBackend",
     "RTLBackend",
     "HighRadixBackend",
-    "ScalableBackend",
 ]
 
 
@@ -144,17 +146,16 @@ class ModExpBackend(ABC):
         """Scheduler cost: modelled cycles weighted by wall-time factor."""
         return self.model_cycles(request) * self.wall_weight
 
-    def model_cycles(self, request: ModExpRequest) -> float:
-        """Expected hardware cycles for one exponentiation.
+    def model_cycles(self, request: ModExpRequest) -> int:
+        """Hardware cycles of one exponentiation: the cycles ``execute`` reports.
 
-        Default model: square-and-multiply issues ``~1.5·t + 1``
-        multiplications for a ``t``-bit exponent (pre/post included), each
-        costing the corrected array latency.
+        Default: the :func:`~repro.montgomery.exponent.chain_length`
+        multiplications of Algorithm 3 (pre and post included), each
+        costing the corrected array latency ``3l+5``.
         """
         from repro.systolic.timing import mmm_cycles_corrected
 
-        mults = 1.5 * request.exponent.bit_length() + 1
-        return mmm_cycles_corrected(request.width) * mults
+        return chain_length(request.exponent) * mmm_cycles_corrected(request.width)
 
     @abstractmethod
     def execute(
@@ -263,11 +264,15 @@ class CRTBackend(ModExpBackend):
     )
 
     def model_cycles(self, request):
+        """Both half-width chains, as :func:`~repro.rsa.cipher.crt_exponentiate`
+        runs them; a zero half-exponent spends no multiplications."""
         from repro.systolic.timing import mmm_cycles_corrected
 
-        half = max(request.width // 2, 2)
-        mults = 1.5 * half + 1  # exponent reduced mod (p-1): ~half-length
-        return 2 * mmm_cycles_corrected(half) * mults
+        return sum(
+            chain_length(request.exponent % (prime - 1))
+            * mmm_cycles_corrected(prime.bit_length())
+            for prime in request.factors
+        )
 
     def execute(self, ctx, request):
         from repro.rsa.cipher import crt_exponentiate
@@ -450,76 +455,23 @@ class HighRadixBackend(ModExpBackend):
         process_safe=True,
     )
 
-    def __init__(self, word_bits: int = 16) -> None:
-        if word_bits < 1:
-            raise ParameterError(f"word_bits must be >= 1, got {word_bits}")
-        self.word_bits = word_bits
+    word_bits = 16  # radix 2^16: one CIOS word per 16 operand bits
 
     def model_cycles(self, request):
         from repro.baselines.highradix import HighRadixModel
 
-        model = HighRadixModel(max(request.width, 2), self.word_bits)
-        mults = 1.5 * request.exponent.bit_length() + 1
-        return model.mmm_cycles * mults
+        mmm = HighRadixModel(request.width, self.word_bits).mmm_cycles
+        return chain_length(request.exponent) * mmm
 
     def execute(self, ctx, request):
-        from repro.baselines.highradix import HighRadixModel
         from repro.montgomery.radix import WordMontgomeryParams, mont_mul_cios
 
         n = ctx.modulus
-        e = request.exponent
         params = WordMontgomeryParams(n, self.word_bits)
         r2 = (params.R * params.R) % n
         mont = functools.partial(mont_mul_cios, params)
-        value = _square_multiply(mont, r2, request.base, e, n=n)
-        cycles = HighRadixModel(ctx.l, self.word_bits).mmm_cycles * chain_length(e)
-        return BackendResult(value % n, cycles)
-
-
-class ScalableBackend(ModExpBackend):
-    """Tenca–Koç word-serial scalable unit (paper ref [26]).
-
-    Functional word-serial kernel with the published first-order latency
-    model for a ``stages``-PE pipeline.
-    """
-
-    name = "scalable"
-    capabilities = BackendCapabilities(
-        description="word-serial Tenca–Koç kernel, modelled pipeline cycles",
-        max_bits=None,
-        cycle_accurate=False,
-        simulator=False,
-        process_safe=True,
-    )
-
-    def __init__(self, word: int = 8, stages: int = 4) -> None:
-        if word < 1 or stages < 1:
-            raise ParameterError("word and stages must be >= 1")
-        self.word = word
-        self.stages = stages
-
-    def model_cycles(self, request):
-        from repro.baselines.scalable import scalable_mmm_cycles
-
-        mults = 1.5 * request.exponent.bit_length() + 1
-        return scalable_mmm_cycles(request.width, self.word, self.stages) * mults
-
-    def execute(self, ctx, request):
-        from repro.baselines.scalable import scalable_mmm_cycles, scalable_montgomery
-
-        n = ctx.modulus
-        # The scalable kernel uses the classical R₁ = 2^l convention with
-        # operands in [0, N), unlike the array's R = 2^(l+2) / [0, 2N).
-        e = request.exponent
-        r1 = (1 << ctx.l) % n
-        r2 = (r1 * r1) % n
-
-        def mont(x: int, y: int) -> int:
-            return scalable_montgomery(ctx, x, y, self.word)
-
-        value = _square_multiply(mont, r2, request.base, e, n=n)
-        cycles = scalable_mmm_cycles(ctx.l, self.word, self.stages) * chain_length(e)
-        return BackendResult(value % n, cycles)
+        value = _square_multiply(mont, r2, request.base, request.exponent, n=n)
+        return BackendResult(value % n, self.model_cycles(request))
 
 
 # ----------------------------------------------------------------------
@@ -589,7 +541,6 @@ def default_registry() -> BackendRegistry:
         CRTBackend(),
         RTLBackend(),
         HighRadixBackend(),
-        ScalableBackend(),
         ChipBackend(),
     ):
         reg.register(backend)

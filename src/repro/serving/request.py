@@ -115,8 +115,8 @@ class ModExpRequest:
                 raise ParameterError(
                     f"factors ({p}, {q}) do not multiply to modulus {self.modulus}"
                 )
-            if p % 2 == 0 or q % 2 == 0:
-                raise ParameterError("CRT factors must both be odd")
+            if p % 2 == 0 or q % 2 == 0 or min(p, q) < 3:
+                raise ParameterError("CRT factors must both be odd and >= 3")
 
     @property
     def width(self) -> int:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.errors import ParameterError
 from repro.serving.request import ModExpRequest
@@ -78,36 +78,3 @@ class SLOPolicy:
         per_mult = mmm_cycles(l) if self.mode == "paper" else mmm_cycles_corrected(l)
         mults = 2 * max(request.exponent.bit_length(), 1)
         return max(1, math.ceil(self.margin * mults * per_mult))
-
-    def completion_budget(
-        self,
-        requests: Sequence[ModExpRequest],
-        *,
-        tiles: int = 1,
-        waves: int = 1,
-    ) -> int:
-        """Tile-occupancy-aware *group* completion budget in chip cycles.
-
-        Where :meth:`cycle_budget` prices each request at the flat
-        ``mults × (3l+4)`` per-op formula, a chip retiring a whole group
-        concurrently is bounded by the wave-schedule makespan of the
-        pooled multiplications spread over ``tiles × waves`` slots — but
-        never beats the longest dependent chain (one exponentiation
-        cannot overlap its own squarings).  See
-        :func:`repro.chip.schedule.completion_estimate_cycles`; at
-        ``tiles=waves=1`` this degenerates to the sum of the per-request
-        budgets' multiplication estimate, so the scalar formula is the
-        special case.
-        """
-        if not requests:
-            return 0
-        if self.fixed_budget is not None:
-            return self.fixed_budget
-        from repro.chip.schedule import completion_estimate_cycles
-
-        l = max(max(r.width, 2) for r in requests)
-        mults = [2 * max(r.exponent.bit_length(), 1) for r in requests]
-        estimate = completion_estimate_cycles(
-            mults, l, tiles=tiles, waves=waves, mode=self.mode
-        )
-        return max(1, math.ceil(self.margin * estimate))

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Literal, Tuple
 
 from repro.errors import ParameterError
+from repro.montgomery.exponent import run_chain
 from repro.utils.validation import ensure_positive
 
 __all__ = [
@@ -116,23 +117,35 @@ def precomputation_overlapped(l: int) -> int:
     return 2 * (2 * (l + 2) + 1) + l
 
 
+#: How each :func:`~repro.montgomery.exponent.modexp_chain` operation
+#: depends on its predecessor: the pre-multiplication's operands are
+#: known; a squaring needs the previous value in parallel; a multiply by
+#: the standing ``M·R`` streams the previous result into X; the post
+#: ``Mont(A, 1)`` needs the last value in parallel again.
+_ISSUE_KIND = {
+    "pre": "independent",
+    "square": "full_drain",
+    "multiply": "stream_x",
+    "post": "full_drain",
+}
+
+
 def exponentiation_cycles_overlapped(l: int, exponent: int) -> Tuple[int, int]:
     """(overlapped, non-overlapped) cycle totals for one exponentiation.
 
-    Schedule: squarings need the previous value in parallel
-    (``full_drain``); multiplications by the standing ``M·R`` stream the
-    previous result into X (``stream_x``); the following squaring then
-    needs that product in parallel again.  Pre/post are one multiplication
-    each (pre independent, post full-drain).
+    Issues the Algorithm 3 schedule (:func:`~repro.montgomery.exponent.modexp_chain`)
+    through an :class:`IssuePlanner`, each operation kind mapped to its
+    dependency on the previous one; the non-overlapped total prices every
+    operation at ``3l+4``.
     """
     ensure_positive("exponent", exponent)
     planner = IssuePlanner(l)
-    planner.add("independent")  # pre: Mont(M, R^2), operands known
-    for i in reversed(range(exponent.bit_length() - 1)):
-        planner.add("full_drain")  # square: needs A in parallel
-        if (exponent >> i) & 1:
-            planner.add("stream_x")  # multiply: A streams in, M-bar stands
-    planner.add("full_drain")  # post: Mont(A, 1)
+
+    def issue(kind: str, _x: int, _y: int) -> int:
+        planner.add(_ISSUE_KIND[kind])
+        return 0  # the schedule does not depend on the products
+
+    run_chain(issue, 0, exponent, 0)
     overlapped = planner.total_cycles()
     non_overlapped = planner.operations * (3 * l + 4)
     return overlapped, non_overlapped

@@ -1,5 +1,7 @@
 """Tests for the Tenca-Koç scalable architecture model."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,9 @@ from repro.baselines.scalable import (
     scalable_montgomery,
 )
 from repro.errors import ParameterError
+from repro.montgomery.exponent import chain_length, run_chain
 from repro.montgomery.params import MontgomeryContext
+from repro.utils.rng import random_odd_modulus
 
 from tests.conftest import odd_modulus
 
@@ -76,3 +80,49 @@ class TestUnit:
     def test_tradeoff_metric(self):
         u = ScalableUnit(word=8, stages=8)
         assert u.speedup_area_tradeoff(512) == u.mmm_cycles(512) * u.area_cells
+
+
+def _chain_modexp(n: int, base: int, exponent: int, word: int = 8, stages: int = 4):
+    """Algorithm 3 over the scalable kernel: ``(value, modelled cycles)``.
+
+    The kernel uses the classical ``R₁ = 2^l`` with operands in ``[0, N)``,
+    unlike the array's ``R = 2^(l+2)`` over ``[0, 2N)``; the one schedule
+    takes ``R₁² mod N`` for its conversion.
+    """
+    ctx = MontgomeryContext(n)
+    r1 = (1 << ctx.l) % n
+    cycles = 0
+
+    def mont(_kind, x, y):
+        nonlocal cycles
+        cycles += scalable_mmm_cycles(ctx.l, word, stages)
+        product = scalable_montgomery(ctx, x, y, word)
+        assert 0 <= product < n
+        return product
+
+    return run_chain(mont, base, exponent, r1 * r1 % n) % n, cycles
+
+
+def _vectors():
+    """Four seeded 56-bit vectors plus the 64-bit vector every factor-free
+    serving backend shares (``tests/serving/test_equivalence.py``)."""
+    rng = random.Random("equivalence:scalable")
+    for _ in range(4):
+        n = random_odd_modulus(56, rng)
+        yield n, rng.randrange(n), rng.randrange(1, n)
+    rng = random.Random(2003)
+    n = random_odd_modulus(64, rng)
+    yield n, rng.randrange(n), rng.randrange(1, n)
+
+
+class TestAlgorithm3Chain:
+    def test_chain_matches_builtin_pow(self):
+        for n, base, exponent in _vectors():
+            assert _chain_modexp(n, base, exponent)[0] == pow(base, exponent, n)
+
+    def test_chain_cycles_count_the_schedule(self):
+        for n, base, exponent in _vectors():
+            per_mmm = scalable_mmm_cycles(n.bit_length(), 8, 4)
+            assert _chain_modexp(n, base, exponent)[1] == per_mmm * chain_length(
+                exponent
+            )

@@ -7,10 +7,8 @@ import random
 import pytest
 
 from repro.chip.backend import ChipBackend
-from repro.chip.schedule import completion_estimate_cycles
-from repro.errors import ParameterError
 from repro.montgomery.params import precompute_montgomery_constants
-from repro.serving import ModExpRequest, ModExpService, SLOPolicy, default_registry
+from repro.serving import ModExpRequest, ModExpService, default_registry
 from repro.systolic.timing import mmm_cycles_corrected
 from repro.utils.rng import random_odd_modulus
 
@@ -36,8 +34,10 @@ class TestRegistration:
         assert "2-tile x 2-wave" in caps.description
 
     def test_engine_screen(self):
-        with pytest.raises(ParameterError):
+        """The chip is fixed to rtl arrays: no engine (or other) knob."""
+        with pytest.raises(TypeError):
             ChipBackend(engine="compiled")
+        assert ChipBackend()._chip(8).engine == "rtl"
 
 
 class TestExecution:
@@ -67,41 +67,14 @@ class TestExecution:
 
 
 class TestCostModel:
-    def test_group_estimate_beats_scalar_sum(self):
-        reqs, n = _requests(16, 8, seed=3)
-        backend = ChipBackend()
-        group = backend.estimate_group_cycles(reqs)
-        scalar = sum(
-            2 * r.exponent.bit_length() * mmm_cycles_corrected(16) for r in reqs
-        )
-        assert 0 < group < scalar
-        assert backend.estimate_group_cycles([]) == 0
-
-    def test_estimate_cost_discounted_by_speedup(self):
+    def test_estimate_cost_is_undiscounted(self):
+        """The chip's cost is the one schedule count at its wall weight,
+        twice rtl's: per request the chip is the slower of the two."""
         reqs, _ = _requests(32, 1, seed=4)
         chip = ChipBackend()
         rtl = default_registry().get("rtl")
-        # Same cycle model, but the chip's wall estimate is amortized.
-        assert chip.estimate_cost(reqs[0]) < rtl.estimate_cost(reqs[0]) * 4
-
-    def test_completion_budget_uses_tiles_and_waves(self):
-        reqs, _ = _requests(16, 8, seed=5)
-        slo = SLOPolicy()
-        flat = slo.completion_budget(reqs, tiles=1, waves=1)
-        chip = slo.completion_budget(reqs, tiles=2, waves=2)
-        assert 0 < chip < flat
-        assert slo.completion_budget([]) == 0
-        fixed = SLOPolicy(fixed_budget=999)
-        assert fixed.completion_budget(reqs, tiles=2, waves=2) == 999
-
-    def test_completion_budget_matches_schedule_estimate(self):
-        reqs, _ = _requests(16, 4, seed=6)
-        slo = SLOPolicy(margin=1.0)
-        mults = [2 * r.exponent.bit_length() for r in reqs]
-        l = max(r.width for r in reqs)
-        assert slo.completion_budget(reqs, tiles=2, waves=2) == (
-            completion_estimate_cycles(mults, l, tiles=2, waves=2)
-        )
+        assert chip.model_cycles(reqs[0]) == rtl.model_cycles(reqs[0])
+        assert chip.estimate_cost(reqs[0]) == 2 * rtl.estimate_cost(reqs[0])
 
 
 class TestServiceIntegration:

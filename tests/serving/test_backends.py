@@ -32,7 +32,6 @@ class TestRegistry:
             "highradix",
             "integer",
             "rtl",
-            "scalable",
         ]
 
     def test_get_unknown_backend_lists_known(self):
@@ -48,6 +47,16 @@ class TestRegistry:
             default_registry().get("gate")
         with pytest.raises(ParameterError, match="rtl"):
             ModExpService(backend="gate")
+
+    def test_scalable_name_is_gone(self):
+        """``scalable`` served the same requests as ``integer``, slower at
+        every width; asking for it fails loudly and lists the survivors."""
+        from repro.serving import ModExpService
+
+        with pytest.raises(ParameterError, match="integer"):
+            default_registry().get("scalable")
+        with pytest.raises(ParameterError, match="integer"):
+            ModExpService(backend="scalable")
 
     def test_duplicate_registration_rejected_unless_replace(self):
         reg = default_registry()
@@ -88,6 +97,8 @@ class TestCapabilityScreen:
         with_factors = ModExpRequest(2, 3, 15, factors=(3, 5))
         assert crt.reject_reason(plain) is not None
         assert crt.reject_reason(with_factors) is None
+        with pytest.raises(ParameterError, match=">= 3"):
+            ModExpRequest(2, 3, 15, factors=(1, 15))  # p-1 = 0: no CRT half
 
     def test_crt_zero_half_exponent(self):
         """(p-1) | exponent: that half is x^0, spending no cycles."""
@@ -99,6 +110,7 @@ class TestCapabilityScreen:
             for c in (0, 1, 7, 11, 12, 76):
                 req = ModExpRequest(c, e, 77, factors=(7, 11))
                 assert crt.execute(ctx, req).value == pow(c, e, 77)
+                assert crt.model_cycles(req) == crt.execute(ctx, req).cycles
         both_zero = ModExpRequest(12, 60, 77, factors=(7, 11))
         assert crt.execute(ctx, both_zero).cycles == 0
 
@@ -125,7 +137,13 @@ class TestCostModel:
         assert reg.get("rtl").estimate_cost(req) > reg.get("integer").estimate_cost(req)
 
     def test_crt_model_cheaper_than_full_width(self):
+        import random
+
+        from repro.rsa.primes import generate_prime
+
+        rng = random.Random("crt-model")
+        p, q = generate_prime(32, rng), generate_prime(32, rng)
+        n = p * q
+        req = ModExpRequest(2, n - 2, n, factors=(p, q))
         reg = default_registry()
-        n = (1 << 63) + 5
-        req = ModExpRequest(2, n - 2, n, factors=None)
         assert reg.get("crt-rsa").model_cycles(req) < reg.get("integer").model_cycles(req)

@@ -129,7 +129,7 @@ class TestBackendsCommand:
             "crt-rsa",
             "rtl",
             "highradix",
-            "scalable",
             "chip",
         ):
             assert name in text
+        assert "scalable" not in text

@@ -28,7 +28,6 @@ VECTORS = {
     "integer": 6,
     "crt-rsa": 4,
     "highradix": 6,
-    "scalable": 4,
     "rtl": 3,
     "rtl@7": 2,
     "chip": 2,
@@ -39,7 +38,6 @@ BITS = {
     "integer": 96,
     "crt-rsa": 48,
     "highradix": 80,
-    "scalable": 56,
     "rtl": 12,
     "rtl@7": 7,
     "chip": 10,
@@ -86,17 +84,37 @@ def test_backend_reports_cycles(name):
     ctx = precompute_montgomery_constants(request.modulus, request.l)
     result = backend.execute(ctx, request)
     assert result.cycles is not None and result.cycles > 0
+    # One cost source: the scheduler's model is the count execute reports.
+    assert backend.model_cycles(request) == result.cycles
     assert backend.estimate_cost(request) > 0
 
 
 def test_same_vector_across_all_software_backends():
-    """One shared vector through every width-unlimited backend."""
+    """One shared vector through every width-unlimited factor-free backend.
+
+    The same vector drives the Tenca–Koç scalable kernel in
+    ``tests/baselines/test_scalable.py``.
+    """
     rng = random.Random(2003)
     n = random_odd_modulus(64, rng)
     request = ModExpRequest(rng.randrange(n), rng.randrange(1, n), n)
     ctx = precompute_montgomery_constants(n)
     values = {
         name: REGISTRY.get(name).execute(ctx, request).value % n
-        for name in ("integer", "highradix", "scalable")
+        for name in ("integer", "highradix")
     }
     assert set(values.values()) == {request.expected()}
+
+
+@pytest.mark.parametrize("l", [16, 32, 64])
+def test_estimate_cost_ranks_capable_backends_by_measured_wall_time(l):
+    """Failover and brownout pick the cheapest capable backend; the cost
+    order must be the measured wall-time order at full-width exponents."""
+    rng = random.Random(f"rank:{l}")
+    n = random_odd_modulus(l, rng)
+    request = ModExpRequest(rng.randrange(n), n - 2, n)
+    capable = [b for b in REGISTRY if b.reject_reason(request) is None]
+    ranked = sorted(capable, key=lambda b: b.estimate_cost(request))
+    assert [b.name for b in ranked] == ["highradix", "integer", "rtl", "chip"]
+    costs = [b.estimate_cost(request) for b in ranked]
+    assert costs == sorted(set(costs))  # strict: no ties to break

@@ -3,13 +3,17 @@
 import pytest
 
 from repro.errors import ParameterError
+from repro.montgomery.exponent import chain_length
 from repro.systolic.pipeline import (
     IssuePlanner,
     exponentiation_cycles_overlapped,
     issue_interval,
     precomputation_overlapped,
 )
-from repro.systolic.timing import precomputation_cycles
+from repro.systolic.timing import (
+    exponentiation_cycles_measured_model,
+    precomputation_cycles,
+)
 
 
 class TestIssueIntervals:
@@ -106,3 +110,35 @@ class TestExponentiation:
     def test_validation(self):
         with pytest.raises(ParameterError):
             exponentiation_cycles_overlapped(8, 0)
+
+
+def _hand_scan_overlapped(l, exponent):
+    """Frozen oracle: the MSB-first scan the overlapped model used before
+    it issued :func:`~repro.montgomery.exponent.modexp_chain` directly."""
+    planner = IssuePlanner(l)
+    planner.add("independent")  # pre: Mont(M, R^2), operands known
+    for i in reversed(range(exponent.bit_length() - 1)):
+        planner.add("full_drain")  # square: needs A in parallel
+        if (exponent >> i) & 1:
+            planner.add("stream_x")  # multiply: A streams in, M-bar stands
+    planner.add("full_drain")  # post: Mont(A, 1)
+    return planner.total_cycles(), planner.operations * (3 * l + 4)
+
+
+class TestScheduleCostExhaustive:
+    """Every exponent below 2^12: each cost model counts the one schedule."""
+
+    EXPONENTS = range(1, 1 << 12)
+
+    @pytest.mark.parametrize("l", [4, 16, 64])
+    def test_overlapped_matches_hand_scan_oracle(self, l):
+        for e in self.EXPONENTS:
+            assert exponentiation_cycles_overlapped(l, e) == _hand_scan_overlapped(l, e), e
+
+    @pytest.mark.parametrize("l", [4, 16, 64])
+    def test_costs_are_chain_length_times_latency(self, l):
+        for e in self.EXPONENTS:
+            _, non_overlapped = exponentiation_cycles_overlapped(l, e)
+            assert non_overlapped == chain_length(e) * (3 * l + 4), e
+            measured = exponentiation_cycles_measured_model(l, e).total
+            assert measured == chain_length(e) * (3 * l + 5), e

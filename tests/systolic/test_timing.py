@@ -67,6 +67,17 @@ class TestEq10:
         assert single.total == lo
         assert allones.total == hi
 
+    @pytest.mark.parametrize("l", range(1, 11))
+    def test_every_l_plus_1_bit_exponent_within_bounds(self, l):
+        """Exhaustively: every (l+1)-bit exponent lands in the Eq. (10)
+        window, and both ends of the window are attained."""
+        lo, hi = exponentiation_cycle_bounds(l)
+        totals = {
+            exponentiation_cycles_paper(l, e).total
+            for e in range(1 << l, 1 << (l + 1))
+        }
+        assert min(totals) == lo and max(totals) == hi
+
     def test_average_is_midpoint(self):
         l = 1024
         lo, hi = exponentiation_cycle_bounds(l)
