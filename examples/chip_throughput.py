@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Multi-array chip walkthrough: interleaved waves, tiles, chip serving.
+"""Multi-array chip walkthrough: interleaved waves and tiles.
 
-Three acts, each verified as it runs:
+Two acts, each verified as it runs:
 
 1. **Wave interleaving** — two multiplications share one systolic
    lattice on opposite clock parities.  The per-cycle hazard checker
@@ -10,9 +10,9 @@ Three acts, each verified as it runs:
    closed-form greedy-schedule model.
 2. **The tiled chip** — a 2-tile x 2-wave ``ChipModel`` retires a batch
    behind bounded FIFOs and a dispatcher, ~4x faster than one array.
-3. **Chip serving** — mixed-exponent modexp requests (generated by the
-   seeded workload generator) through ``ModExpService(backend="chip")``,
-   every result checked against ``pow``.
+
+Serving runs the array through the ``rtl`` backend; the chip is a
+hardware model, not a serving backend.
 
     python examples/chip_throughput.py [l] [chip_ops]
 """
@@ -28,8 +28,7 @@ from repro.chip.schedule import (
 )
 from repro.montgomery.algorithms import montgomery_no_subtraction
 from repro.montgomery.params import precompute_montgomery_constants
-from repro.observability import MetricsRegistry, OccupancyRecorder, observe
-from repro.serving import ModExpService, WorkloadConfig, generate_workload
+from repro.observability import OccupancyRecorder, observe
 from repro.utils.rng import random_odd_modulus
 
 
@@ -76,31 +75,6 @@ def main(l: int = 32, chip_ops: int = 12) -> None:
           f"(steady-state model {speedup_model(l, tiles=2, waves=2):.1f}x)")
     for line in chip_occ.heatmap("chip.tiles", unit="tile").splitlines():
         print(f"    {line}")
-
-    # Act 3: mixed-exponent serving on the chip backend.
-    print("[3] chip serving backend, mixed-exponent workload")
-    workload = generate_workload(
-        WorkloadConfig(requests=16, keys=3, bits=(l,), f4_share=0.25),
-        seed="chip-example",
-    )
-    registry = MetricsRegistry()
-    with observe(metrics=registry):
-        with ModExpService(
-            backend="chip", workers=2, worker_kind="thread"
-        ) as service:
-            served = service.process(workload.requests)
-    for request, result in zip(workload.requests, served):
-        assert result.ok and result.value == pow(
-            request.base, request.exponent, request.modulus
-        )
-    print(f"    {len(served)}/{len(served)} results verified against pow()")
-    print(f"    distinct exponents in one service run: "
-          f"{len({r.exponent for r in workload.requests})}")
-    dispatched = registry.counter("chip.dispatched").total()
-    waves = registry.histogram("chip.waves").aggregate()
-    if dispatched and waves.count:
-        print(f"    multiplications dispatched to tiles: {dispatched}, "
-              f"mean waves in flight {waves.sum / waves.count:.2f}")
 
 
 if __name__ == "__main__":

@@ -13,9 +13,11 @@ way (see ``docs/CHIP.md``):
   harness;
 * :mod:`repro.chip.dispatch` / :mod:`repro.chip.chip` — round-robin and
   least-queue-depth dispatchers over :class:`ChipModel`, N tiles on one
-  shared clock;
-* :mod:`repro.chip.backend` — the ``chip`` serving backend interleaving
-  whole modexp batches across tiles and waves.
+  shared clock.
+
+The chip is a model for ``repro chip`` and the chip benchmarks; serving
+runs the array through the ``rtl`` backend, which reports the same
+per-request cycles and is faster in wall time at every measured width.
 """
 
 from repro.chip.chip import ChipModel
@@ -27,7 +29,6 @@ from repro.chip.dispatch import (
 )
 from repro.chip.fifo import BoundedFIFO
 from repro.chip.interleave import InterleavedArray, MMMOp, WaveOutcome
-from repro.chip.backend import ChipBackend
 from repro.chip.schedule import (
     chip_makespan_cycles,
     completion_estimate_cycles,
@@ -44,7 +45,6 @@ from repro.chip.tile import Tile
 
 __all__ = [
     "BoundedFIFO",
-    "ChipBackend",
     "ChipModel",
     "Dispatcher",
     "InterleavedArray",

@@ -60,7 +60,7 @@ _ENGINES = ("rtl", "gate")
 class MMMOp:
     """One Montgomery multiplication job: ``x·y·2^{-(l+2)} mod 2N``.
 
-    ``tag`` is opaque routing context (the chip backend stores the request
+    ``tag`` is opaque routing context (``repro chip`` stores the operation
     index there); it rides along unmodified into the outcome.
     """
 

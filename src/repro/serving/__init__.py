@@ -8,9 +8,10 @@ single-shot engines into a multi-worker modular-exponentiation service.
 * :mod:`repro.serving.request` — :class:`ModExpRequest` /
   :class:`ModExpResult`, the unit of work and its uniform outcome.
 * :mod:`repro.serving.backends` — the :class:`ModExpBackend` protocol,
-  capability declarations, cost models and the registry wrapping every
+  capability declarations, cycle models, the registry wrapping every
   engine in the repo (integer fast path, CRT-RSA, the systolic MMMC on
-  compiled gate-level kernels, high-radix, the multi-tile chip).
+  compiled gate-level kernels, high-radix) and ``rank_capable``, the one
+  cheapest-capable ordering failover and brownout route by.
 * :mod:`repro.serving.scheduler` — per-modulus batch coalescing (one
   Montgomery pre-computation per batch) and deadline/cost dispatch
   ordering.
@@ -74,7 +75,7 @@ from repro.serving.overload import (
 )
 from repro.serving.pool import SlotWindow, WorkerPool
 from repro.serving.request import ModExpRequest, ModExpResult
-from repro.serving.scheduler import Batch, BatchScheduler, coalesce, lane_groups
+from repro.serving.scheduler import Batch, coalesce, lane_groups
 from repro.serving.service import ModExpService
 from repro.serving.shard import ShardMap, ShardPool, placement_key
 from repro.serving.slo import SLOPolicy
@@ -106,7 +107,6 @@ __all__ = [
     "ModExpRequest",
     "ModExpResult",
     "Batch",
-    "BatchScheduler",
     "coalesce",
     "lane_groups",
     "ModExpService",

@@ -1,13 +1,15 @@
 """The backend registry: every modexp engine behind one protocol.
 
-The repository has five ways to compute ``base^exponent mod N`` — the
+The repository has four ways to compute ``base^exponent mod N`` — the
 pure-integer Algorithm 2 fast path, CRT-RSA, the systolic MMMC on
-compiled gate-level kernels, word-based high-radix software and the
-multi-tile chip.  The serving layer treats them as interchangeable
-:class:`ModExpBackend` implementations, each declaring
-:class:`BackendCapabilities` (operand-width ceiling, whether its cycle
-counts are measured or modelled, whether it is safe to ship to process
-workers) and a cost the batch scheduler orders dispatch by.  Every
+compiled gate-level kernels and word-based high-radix software.  The
+serving layer treats them as interchangeable :class:`ModExpBackend`
+implementations, each declaring :class:`BackendCapabilities`
+(operand-width ceiling, whether its cycle counts are measured or
+modelled, whether it steps a simulator, whether it is safe to ship to
+process workers) and its :meth:`~ModExpBackend.model_cycles`.
+:func:`rank_capable` orders backends for failover and brownout from
+those two declarations alone.  Every
 backend drives the library's one Algorithm 3 schedule,
 :func:`repro.montgomery.exponent.modexp_chain` — the two golden ones
 (``integer``, ``crt-rsa``) through
@@ -35,7 +37,7 @@ import threading
 from abc import ABC, abstractmethod
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Deque, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import FaultDetected, ParameterError
 from repro.montgomery.exponent import chain_length, modexp_chain, run_chain
@@ -49,6 +51,7 @@ __all__ = [
     "ModExpBackend",
     "BackendRegistry",
     "default_registry",
+    "rank_capable",
     "IntegerBackend",
     "CRTBackend",
     "RTLBackend",
@@ -89,9 +92,10 @@ class BackendCapabilities:
     mixed_exponent_lanes:
         True when ``execute_many`` groups need *not* share an exponent.
         Bit-sliced sweeps advance every lane in lock-step, so they demand
-        a common square-and-multiply schedule; the chip backend instead
-        interleaves independent multiplication chains, so the service may
-        pack any same-modulus requests of one batch into a group.
+        a common square-and-multiply schedule; a backend that interleaves
+        independent multiplication chains instead may set it, and the
+        service then packs any same-modulus requests of one batch into a
+        group.  No built-in backend sets it.
     """
 
     description: str
@@ -116,19 +120,14 @@ class ModExpBackend(ABC):
     """One modular-exponentiation engine behind the serving layer.
 
     Subclasses set ``name`` and ``capabilities`` and implement
-    :meth:`estimate_cost` / :meth:`execute`.  ``execute`` may assume the
+    :meth:`execute` (and :meth:`model_cycles` when the per-multiplication
+    latency is not ``3l+5``).  ``execute`` may assume the
     request passed :meth:`reject_reason` (the service checks before
     dispatch).
     """
 
     name: str = ""
     capabilities: BackendCapabilities
-
-    #: Rough wall-time per modelled cycle *relative to the integer
-    #: backend* — simulators pay orders of magnitude more per cycle, and
-    #: the scheduler's cost ordering should reflect wall time, not only
-    #: the hardware cycle count.
-    wall_weight: float = 1.0
 
     def reject_reason(self, request: ModExpRequest) -> Optional[str]:
         """Why this backend cannot serve ``request`` (``None`` = it can)."""
@@ -141,10 +140,6 @@ class ModExpBackend(ABC):
         if caps.requires_factors and request.factors is None:
             return f"backend {self.name!r} needs factors=(p, q) on the request"
         return None
-
-    def estimate_cost(self, request: ModExpRequest) -> float:
-        """Scheduler cost: modelled cycles weighted by wall-time factor."""
-        return self.model_cycles(request) * self.wall_weight
 
     def model_cycles(self, request: ModExpRequest) -> int:
         """Hardware cycles of one exponentiation: the cycles ``execute`` reports.
@@ -244,13 +239,23 @@ class IntegerBackend(ModExpBackend):
         return BackendResult(run.result, run.cycles)
 
 
+@functools.lru_cache(maxsize=1024)
+def _distinct_primes(p: int, q: int) -> bool:
+    """True when ``p`` and ``q`` are distinct probable primes (cached per pair)."""
+    from repro.rsa.primes import is_probable_prime
+
+    return p != q and is_probable_prime(p) and is_probable_prime(q)
+
+
 class CRTBackend(ModExpBackend):
     """CRT-RSA: two half-width exponentiations plus Garner recombination.
 
-    Requires ``factors=(p, q)`` with p, q prime (the standard RSA private
-    operation).  Roughly 4× cheaper in cycle-weighted work because the
-    half-width multiplier runs ``3(l/2)+5``-cycle multiplications over
-    half-length exponents.
+    Requires ``factors=(p, q)`` with p, q distinct primes (the standard
+    RSA private operation): reducing the exponent mod ``p-1`` is only
+    valid for prime ``p``, so :meth:`reject_reason` refuses any other
+    pair rather than answer a wrong value.  Roughly 4× cheaper in
+    cycle-weighted work because the half-width multiplier runs
+    ``3(l/2)+5``-cycle multiplications over half-length exponents.
     """
 
     name = "crt-rsa"
@@ -262,6 +267,16 @@ class CRTBackend(ModExpBackend):
         process_safe=True,
         requires_factors=True,
     )
+
+    def reject_reason(self, request):
+        reason = super().reject_reason(request)
+        if reason is None and not _distinct_primes(*request.factors):
+            p, q = request.factors
+            reason = (
+                f"backend {self.name!r} needs distinct prime factors; "
+                f"({p}, {q}) are not"
+            )
+        return reason
 
     def model_cycles(self, request):
         """Both half-width chains, as :func:`~repro.rsa.cipher.crt_exponentiate`
@@ -309,7 +324,6 @@ class RTLBackend(ModExpBackend):
         process_safe=False,
         lanes=64,
     )
-    wall_weight = 200.0
 
     def __init__(self) -> None:
         self._scalar: Dict[int, object] = {}
@@ -531,17 +545,25 @@ class BackendRegistry:
 
 def default_registry() -> BackendRegistry:
     """A fresh registry holding every built-in backend."""
-    # Imported here, not at module top: repro.chip.backend subclasses
-    # ModExpBackend from this module, so a top-level import would cycle.
-    from repro.chip.backend import ChipBackend
-
     reg = BackendRegistry()
-    for backend in (
-        IntegerBackend(),
-        CRTBackend(),
-        RTLBackend(),
-        HighRadixBackend(),
-        ChipBackend(),
-    ):
+    for backend in (IntegerBackend(), CRTBackend(), RTLBackend(), HighRadixBackend()):
         reg.register(backend)
     return reg
+
+
+def rank_capable(
+    backends: Iterable[ModExpBackend], request: ModExpRequest
+) -> List[ModExpBackend]:
+    """The backends able to serve ``request``, cheapest first.
+
+    Ordered by ``(capabilities.simulator, model_cycles(request))``: a
+    simulator steps a hardware model cycle by cycle and pays orders of
+    magnitude more wall time per modelled cycle than software, so every
+    software backend ranks ahead of it; within each group the fewest
+    modelled cycles win.  Both keys are declared by every backend, so no
+    hand-set weight is needed.  Failover and the brownout "cheap
+    backends" lever both route by this order.
+    """
+    capable = [b for b in backends if b.reject_reason(request) is None]
+    capable.sort(key=lambda b: (b.capabilities.simulator, b.model_cycles(request)))
+    return capable

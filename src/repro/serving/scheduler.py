@@ -1,8 +1,8 @@
-"""Batch scheduler: coalesce by modulus, dispatch by deadline and cost.
+"""Batch coalescing: group by modulus, dispatch by deadline and cost.
 
 Montgomery exponentiation pays a fixed pre-computation per modulus —
 ``R``, ``R² mod N`` and ``N'`` (a modular squaring plus an inversion).
-A naive service repeats it for every request; the scheduler instead
+A naive service repeats it for every request; :func:`coalesce` instead
 groups pending requests by ``(modulus, l)`` into :class:`Batch` objects,
 derives the constants **once per batch** through the shared
 :func:`~repro.montgomery.params.precompute_montgomery_constants` cache,
@@ -10,11 +10,13 @@ and attaches the resulting context to the batch so workers never touch
 the cache at all.
 
 Dispatch order is interactive-first, then earliest-deadline-first, ties
-broken by estimated backend cost (cheap batches first, so a long
-simulation batch cannot convoy short integer batches with equal
-urgency).  A batch containing any interactive-priority request outranks
-every pure-batch one — under overload the dispatch queue is where
-interactive latency is won or lost.
+broken by the batch's summed
+:meth:`~repro.serving.backends.ModExpBackend.model_cycles` (cheap
+batches first, so a long batch cannot convoy short ones with equal
+urgency).  Every batch of one call shares one backend, so the modelled
+cycles alone order them.  A batch containing any interactive-priority
+request outranks every pure-batch one — under overload the dispatch
+queue is where interactive latency is won or lost.
 
 Metrics (when observation is enabled):
 
@@ -23,8 +25,8 @@ Metrics (when observation is enabled):
 * ``serving.coalesced_precomputes`` — one per distinct ``(modulus, l)``
   per coalescing round, i.e. the number of pre-computations actually
   needed (compare with ``serving.requests`` to see the savings);
-* ``serving.scheduler_depth`` — pending-queue gauge;
-* ``serving.requests{status=rejected}`` — bounded-queue rejections.
+* ``serving.coalesce_group_size`` — pre-chunk requests per distinct
+  ``(modulus, l)`` key.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.errors import QueueFull
 from repro.montgomery.params import (
     MontgomeryContext,
     precompute_montgomery_constants,
@@ -42,7 +43,7 @@ from repro.observability import OBS
 from repro.serving.backends import ModExpBackend
 from repro.serving.request import ModExpRequest
 
-__all__ = ["Batch", "coalesce", "lane_groups", "BatchScheduler"]
+__all__ = ["Batch", "coalesce", "lane_groups"]
 
 T = TypeVar("T")
 
@@ -57,9 +58,9 @@ def lane_groups(
 
     Bit-sliced lane packing needs a shared square-and-multiply schedule,
     so only requests with identical exponents share a group; groups are
-    capped at the backend's lane width.  Backends declaring
-    ``capabilities.mixed_exponent_lanes`` (the chip, which interleaves
-    independent chains instead of lock-stepping lanes) group the whole
+    capped at the backend's lane width.  ``mixed=True`` (a backend
+    declaring ``capabilities.mixed_exponent_lanes``, which interleaves
+    independent chains instead of lock-stepping lanes) groups the whole
     batch regardless of exponent.  Order within a group follows batch
     order.  :func:`~repro.serving.pool.execute_batch` groups with it on
     every data plane.
@@ -80,8 +81,9 @@ class Batch:
     """Requests sharing one modulus (hence one set of constants).
 
     ``context`` is the pre-computed parameter set every request in the
-    batch reuses; ``estimated_cost`` is the backend's cost estimate
-    summed over the batch (the dispatch tie-breaker).
+    batch reuses; ``model_cycles`` is the backend's
+    :meth:`~repro.serving.backends.ModExpBackend.model_cycles` summed
+    over the batch (the dispatch tie-breaker).
     """
 
     index: int
@@ -89,7 +91,7 @@ class Batch:
     l: int
     context: MontgomeryContext
     requests: List[ModExpRequest] = field(default_factory=list)
-    estimated_cost: float = 0.0
+    model_cycles: int = 0
 
     @property
     def size(self) -> int:
@@ -126,8 +128,8 @@ def coalesce(
     ``(modulus, l)`` key, regardless of how many requests share it.
     Groups larger than ``max_batch`` (when positive) are split into
     chunks, which still share the single pre-computed context.  Returned
-    batches are sorted by ``(deadline, estimated_cost)`` and re-indexed
-    from ``start_index``.
+    batches are sorted by ``(priority_rank, deadline, model_cycles)`` and
+    re-indexed from ``start_index``.
     """
     groups: Dict[Tuple[int, int], List[ModExpRequest]] = {}
     for request in requests:
@@ -151,74 +153,14 @@ def coalesce(
                     l=l,
                     context=context,
                     requests=part,
-                    estimated_cost=sum(backend.estimate_cost(r) for r in part),
+                    model_cycles=sum(backend.model_cycles(r) for r in part),
                 )
             )
 
-    batches.sort(key=lambda b: (b.priority_rank, b.deadline, b.estimated_cost))
+    batches.sort(key=lambda b: (b.priority_rank, b.deadline, b.model_cycles))
     for offset, batch in enumerate(batches):
         batch.index = start_index + offset
         if OBS.enabled:
             OBS.count("serving.batches")
             OBS.record("serving.batch_size", batch.size)
     return batches
-
-
-class BatchScheduler:
-    """Bounded staging queue that drains into coalesced batches.
-
-    ``submit`` applies admission control: once ``max_pending`` requests
-    are staged, further submissions raise
-    :class:`~repro.errors.QueueFull` instead of growing the queue — the
-    serving loop turns that into an explicit rejection on the wire.
-    ``take_batches`` drains everything staged so far.
-    """
-
-    def __init__(
-        self,
-        backend: ModExpBackend,
-        *,
-        max_pending: int = 1024,
-        max_batch: int = 64,
-    ) -> None:
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        self.backend = backend
-        self.max_pending = max_pending
-        self.max_batch = max_batch
-        self._pending: List[ModExpRequest] = []
-        self._next_index = 0
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    def submit(self, request: ModExpRequest) -> None:
-        """Stage one request; raise :class:`QueueFull` past the bound."""
-        if len(self._pending) >= self.max_pending:
-            if OBS.enabled:
-                OBS.count(
-                    "serving.requests", status="rejected", backend=self.backend.name
-                )
-            raise QueueFull(
-                f"scheduler queue full ({self.max_pending} pending); retry later"
-            )
-        self._pending.append(request)
-        if OBS.enabled:
-            OBS.gauge("serving.scheduler_depth", len(self._pending))
-
-    def take_batches(self) -> List[Batch]:
-        """Drain the staged requests into dispatch-ordered batches."""
-        if not self._pending:
-            return []
-        staged, self._pending = self._pending, []
-        if OBS.enabled:
-            OBS.gauge("serving.scheduler_depth", 0)
-        batches = coalesce(
-            staged,
-            self.backend,
-            max_batch=self.max_batch,
-            start_index=self._next_index,
-        )
-        self._next_index += len(batches)
-        return batches

@@ -83,6 +83,7 @@ from repro.serving.backends import (
     BackendRegistry,
     ModExpBackend,
     default_registry,
+    rank_capable,
 )
 from repro.serving.health import HealthConfig
 from repro.serving.overload import (
@@ -732,9 +733,9 @@ class ModExpService:
 
         The primary backend keeps priority while its breaker admits
         traffic.  With ``failover=True`` the alternates are the registry
-        backends that can serve the request, ordered by
-        :meth:`~repro.serving.backends.ModExpBackend.estimate_cost`
-        (cheapest first).  ``None`` means no backend is currently
+        backends that can serve the request, in
+        :func:`~repro.serving.backends.rank_capable` order (cheapest
+        first).  ``None`` means no backend is currently
         willing — the caller fails the request without burning budget.
         Breaker ``allow()`` is only consulted in priority order, so
         half-open probe slots are never claimed for backends that are
@@ -743,13 +744,11 @@ class ModExpService:
         primary = self.backend
         candidates: List[ModExpBackend] = [primary]
         if self.failover:
-            alternates = [
+            candidates.extend(
                 b
-                for b in self.registry
-                if b.name != primary.name and b.reject_reason(request) is None
-            ]
-            alternates.sort(key=lambda b: b.estimate_cost(request))
-            candidates.extend(alternates)
+                for b in rank_capable(self.registry, request)
+                if b.name != primary.name
+            )
         for candidate in candidates:
             if self.breakers is None or self.breakers.allow(candidate.name):
                 return candidate

@@ -85,7 +85,7 @@ from repro.montgomery.params import (
 from repro.observability import OBS, MetricsRegistry, observe
 from repro.robustness.chaos import ChaosConfig, FaultPlan
 from repro.serving.health import HealthConfig, ShardHealth
-from repro.serving.backends import default_registry
+from repro.serving.backends import default_registry, rank_capable
 from repro.serving.pool import DEFAULT_SLOTS_PER_WORKER, SlotWindow, execute_batch
 from repro.serving.request import ModExpRequest
 from repro.serving.wire import (
@@ -251,7 +251,6 @@ def _shard_worker_main(
         if chaos is not None and chaos.frame_faults_active
         else None
     )
-    cheap_backend = None  # resolved lazily on the first cheap-mode batch
     while True:
         try:
             data = conn.recv_bytes()
@@ -274,16 +273,15 @@ def _shard_worker_main(
             except (OSError, ValueError, BrokenPipeError):
                 return
             continue
+        exec_backend = backend
         if batch_frame_cheap_mode(data):
             # Brownout lever: execute on the registry's cheapest backend
-            # still capable of this batch instead of the primary.
-            if cheap_backend is None:
-                cheap_backend = _cheapest_capable(
-                    registry_obj, requests[0], fallback=backend
-                )
-            exec_backend = cheap_backend
-        else:
-            exec_backend = backend
+            # still capable of this batch instead of the primary.  The
+            # worker makes the trade locally because only it knows which
+            # backends its registry holds.
+            ranked = rank_capable(registry_obj, requests[0])
+            if ranked:
+                exec_backend = ranked[0]
         # Metrics capture is opt-in per batch (frame flag, set when the
         # parent runs under an observation session): the engines' hook
         # sites on the multiply/exponentiate hot path are not free, and
@@ -318,23 +316,6 @@ def _shard_worker_main(
             conn.send_bytes(frame)
         except (OSError, ValueError, BrokenPipeError):
             return
-
-
-def _cheapest_capable(registry: Any, probe: ModExpRequest, *, fallback: Any) -> Any:
-    """The registry backend with the lowest estimated cost for ``probe``.
-
-    The brownout controller's "cheap backends" level trades fidelity for
-    throughput; the worker makes the trade locally because only it knows
-    which backends its registry actually holds.
-    """
-    best, best_cost = fallback, None
-    for candidate in registry:
-        if candidate.reject_reason(probe) is not None:
-            continue
-        cost = candidate.estimate_cost(probe)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = candidate, cost
-    return best
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,8 @@ exact request sequence, forever.
   per-modulus batch coalescing interesting.
 * **Exponents** — a configurable share of requests uses the fixed RSA
   verification exponent 65537; the rest draw random exponents of a
-  random configured bit size (mixed sizes defeat naive lane packing,
-  which is exactly what the chip backend's mixed-exponent groups are
-  for).
+  random configured bit size (mixed exponents split bit-sliced lane
+  groups, since lock-stepped lanes need a shared schedule).
 * **Arrivals** — open loop: exponential inter-arrival times at ``rate``
   requests/second, multiplied by ``burst_factor`` inside periodic burst
   windows (``burst_every`` seconds apart, ``burst_len`` long).  The

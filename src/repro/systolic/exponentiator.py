@@ -68,12 +68,6 @@ class ModularExponentiator:
         ``"rtl"`` (cycle-accurate behavioral hardware model), ``"gate"``
         (gate-level netlist twin on compiled kernels) or ``"golden"``
         (big-integer arithmetic with the RTL cycle accounting).
-    multiplier:
-        Optional pre-built hardware multiplier (a behavioral ``MMMC`` or a
-        ``GateLevelMMMC``) to use instead of constructing one.  Lets the
-        serving backends reuse one elaborated netlist across requests; it
-        must match ``ctx.l`` and ``mode``.  Only valid with a hardware
-        engine (``"rtl"`` / ``"gate"``).
     """
 
     def __init__(
@@ -82,7 +76,6 @@ class ModularExponentiator:
         engine: str = "rtl",
         *,
         mode: str = "corrected",
-        multiplier=None,
     ) -> None:
         if engine not in ("rtl", "gate", "golden"):
             raise ParameterError(f"unknown engine {engine!r}")
@@ -90,13 +83,7 @@ class ModularExponentiator:
         self.engine = engine
         self.mode = mode
         if engine == "golden":
-            if multiplier is not None:
-                raise ParameterError(
-                    "multiplier= requires a hardware engine ('rtl' or 'gate')"
-                )
             self.mmmc = None
-        elif multiplier is not None:
-            self.mmmc = multiplier
         elif engine == "gate":
             from repro.systolic.mmmc_netlist import GateLevelMMMC
 
@@ -195,43 +182,4 @@ class ModularExponentiator:
             raise AssertionError(
                 f"measured {run.cycles} cycles, cost model says {expected}"
             )
-        return run
-
-    def exponentiate_windowed(
-        self,
-        message: int,
-        exponent: int,
-        *,
-        window: int = 4,
-        method: str = "sliding",
-    ) -> ExponentiationRun:
-        """Windowed exponentiation through the same engine.
-
-        Builds the :mod:`repro.montgomery.windowed` schedule and executes
-        it with this exponentiator's multiplier (cycle-accurate when the
-        engine is ``"rtl"``), trading a precomputed power table for fewer
-        multiplier passes; see the window ablation benchmark.
-        """
-        from repro.montgomery.windowed import execute_schedule, schedule_for
-
-        sched = schedule_for(method, exponent, window)
-        run = ExponentiationRun(result=0, cycles=0)
-        if OBS.enabled:
-            OBS.begin(
-                "exponentiate_windowed",
-                cat="exponentiator",
-                l=self.ctx.l,
-                method=method,
-                window=window,
-            )
-
-        def hook(ctx: MontgomeryContext, x: int, y: int) -> int:
-            return self._mont(run, "window-op", x, y)
-
-        run.result = execute_schedule(self.ctx, sched, message, mont=hook)
-        self.cycles += run.cycles
-        if OBS.enabled:
-            OBS.end(cycles=run.cycles, multiplications=run.num_multiplications)
-            OBS.count("exponentiator.exponentiations")
-            OBS.record("exponentiator.exponentiation_cycles", run.cycles)
         return run

@@ -11,6 +11,7 @@ from repro.serving.backends import (
     IntegerBackend,
     ModExpBackend,
     default_registry,
+    rank_capable,
 )
 from repro.serving.request import ModExpRequest
 
@@ -26,37 +27,26 @@ class _StubBackend(ModExpBackend):
 class TestRegistry:
     def test_default_registry_has_all_engines(self):
         reg = default_registry()
-        assert reg.names() == [
-            "chip",
-            "crt-rsa",
-            "highradix",
-            "integer",
-            "rtl",
-        ]
+        assert reg.names() == ["crt-rsa", "highradix", "integer", "rtl"]
 
     def test_get_unknown_backend_lists_known(self):
         with pytest.raises(ParameterError, match="integer"):
             default_registry().get("does-not-exist")
 
-    def test_gate_name_is_gone(self):
-        """``gate`` ran the same compiled netlist as ``rtl``; asking for
-        it fails loudly and points at ``rtl``."""
+    @pytest.mark.parametrize(
+        "gone, survivor",
+        [("gate", "rtl"), ("scalable", "integer"), ("chip", "rtl")],
+    )
+    def test_removed_name_is_gone(self, gone, survivor):
+        """Each removed backend served the same requests as its survivor,
+        slower at every width (``gate`` ran the same compiled netlist as
+        ``rtl``); asking for it fails loudly and lists the survivor."""
         from repro.serving import ModExpService
 
-        with pytest.raises(ParameterError, match="rtl"):
-            default_registry().get("gate")
-        with pytest.raises(ParameterError, match="rtl"):
-            ModExpService(backend="gate")
-
-    def test_scalable_name_is_gone(self):
-        """``scalable`` served the same requests as ``integer``, slower at
-        every width; asking for it fails loudly and lists the survivors."""
-        from repro.serving import ModExpService
-
-        with pytest.raises(ParameterError, match="integer"):
-            default_registry().get("scalable")
-        with pytest.raises(ParameterError, match="integer"):
-            ModExpService(backend="scalable")
+        with pytest.raises(ParameterError, match=survivor):
+            default_registry().get(gone)
+        with pytest.raises(ParameterError, match=survivor):
+            ModExpService(backend=gone)
 
     def test_duplicate_registration_rejected_unless_replace(self):
         reg = default_registry()
@@ -116,10 +106,37 @@ class TestCapabilityScreen:
 
     def test_simulators_are_thread_only(self):
         reg = default_registry()
-        for name in ("rtl", "chip"):
-            caps = reg.get(name).capabilities
-            assert caps.simulator and not caps.process_safe
+        caps = reg.get("rtl").capabilities
+        assert caps.simulator and not caps.process_safe
         assert reg.get("integer").capabilities.process_safe
+
+    def test_crt_refuses_composite_factors(self):
+        """``e mod (p-1)`` is only valid for prime ``p``: a composite
+        factor pair is refused, never answered with a wrong value."""
+        from repro.serving import ModExpService
+
+        crt = default_registry().get("crt-rsa")
+        assert "prime" in crt.reject_reason(ModExpRequest(2, 8, 45, factors=(9, 5)))
+        assert "prime" in crt.reject_reason(ModExpRequest(2, 8, 49, factors=(7, 7)))
+        for n, factors in ((45, (9, 5)), (77, (7, 11))):
+            requests = [
+                ModExpRequest(b, e, n, factors=factors)
+                for b in range(n)
+                for e in range(1, 40)
+            ]
+            with ModExpService(backend="crt-rsa", worker_kind="inline") as svc:
+                results = svc.process(requests)
+            assert len(results) == len(requests)
+            wrong = [
+                (req, res)
+                for req, res in zip(requests, results)
+                if res.ok and res.value != pow(req.base, req.exponent, n)
+            ]
+            assert wrong == []
+            if n == 77:  # distinct primes: every request served exactly
+                assert all(res.ok for res in results)
+            else:
+                assert not any(res.ok for res in results)
 
 
 class TestCostModel:
@@ -128,13 +145,17 @@ class TestCostModel:
         n = (1 << 63) + 5
         cheap = ModExpRequest(2, 3, n)
         dear = ModExpRequest(2, (1 << 60) + 1, n)
-        assert backend.estimate_cost(dear) > backend.estimate_cost(cheap)
+        assert backend.model_cycles(dear) > backend.model_cycles(cheap)
 
-    def test_simulator_cost_reflects_wall_weight(self):
+    def test_rank_capable_puts_rtl_after_integer(self):
+        """A simulator ranks after every software backend, whatever its
+        modelled cycles: it pays far more wall time per cycle."""
         reg = default_registry()
         n = 0xC001
         req = ModExpRequest(3, 5, n)
-        assert reg.get("rtl").estimate_cost(req) > reg.get("integer").estimate_cost(req)
+        assert reg.get("rtl").model_cycles(req) == reg.get("integer").model_cycles(req)
+        names = [b.name for b in rank_capable(reg, req)]
+        assert names.index("integer") < names.index("rtl")
 
     def test_crt_model_cheaper_than_full_width(self):
         import random

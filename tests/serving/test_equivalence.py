@@ -15,7 +15,7 @@ import pytest
 
 from repro.montgomery.params import precompute_montgomery_constants
 from repro.rsa.primes import generate_prime
-from repro.serving.backends import default_registry
+from repro.serving.backends import default_registry, rank_capable
 from repro.serving.request import ModExpRequest
 from repro.utils.rng import random_odd_modulus
 
@@ -30,7 +30,6 @@ VECTORS = {
     "highradix": 6,
     "rtl": 3,
     "rtl@7": 2,
-    "chip": 2,
 }
 
 #: modulus bit length per backend (simulators stay tiny).
@@ -40,7 +39,6 @@ BITS = {
     "highradix": 80,
     "rtl": 12,
     "rtl@7": 7,
-    "chip": 10,
 }
 
 
@@ -86,7 +84,6 @@ def test_backend_reports_cycles(name):
     assert result.cycles is not None and result.cycles > 0
     # One cost source: the scheduler's model is the count execute reports.
     assert backend.model_cycles(request) == result.cycles
-    assert backend.estimate_cost(request) > 0
 
 
 def test_same_vector_across_all_software_backends():
@@ -107,14 +104,13 @@ def test_same_vector_across_all_software_backends():
 
 
 @pytest.mark.parametrize("l", [16, 32, 64])
-def test_estimate_cost_ranks_capable_backends_by_measured_wall_time(l):
-    """Failover and brownout pick the cheapest capable backend; the cost
+def test_rank_capable_orders_backends_by_measured_wall_time(l):
+    """Failover and brownout pick the cheapest capable backend; the rank
     order must be the measured wall-time order at full-width exponents."""
     rng = random.Random(f"rank:{l}")
     n = random_odd_modulus(l, rng)
     request = ModExpRequest(rng.randrange(n), n - 2, n)
-    capable = [b for b in REGISTRY if b.reject_reason(request) is None]
-    ranked = sorted(capable, key=lambda b: b.estimate_cost(request))
-    assert [b.name for b in ranked] == ["highradix", "integer", "rtl", "chip"]
-    costs = [b.estimate_cost(request) for b in ranked]
-    assert costs == sorted(set(costs))  # strict: no ties to break
+    ranked = rank_capable(REGISTRY, request)
+    assert [b.name for b in ranked] == ["highradix", "integer", "rtl"]
+    keys = [(b.capabilities.simulator, b.model_cycles(request)) for b in ranked]
+    assert keys == sorted(set(keys))  # strict: no ties to break

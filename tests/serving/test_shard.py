@@ -117,6 +117,22 @@ class TestShardPool:
                     ]
                 )
 
+    def test_cheap_mode_runs_on_first_ranked_backend(self):
+        """The brownout lever executes on ``rank_capable``'s first pick:
+        ``highradix`` for a 16-bit batch whose primary is ``rtl``."""
+        from repro.serving.backends import default_registry, rank_capable
+
+        m = random_odd_modulus(16, random.Random("cheap"))
+        requests = _requests(3, [m])
+        cheapest = rank_capable(default_registry(), requests[0])[0]
+        assert cheapest.name == "highradix"
+        with ShardPool(shards=1, backend="rtl") as pool:
+            futures = pool.submit_batch(requests, cheap_mode=True)
+            payloads = [f.result(timeout=60) for f in futures]
+        for request, (value, cycles, _, _) in zip(requests, payloads):
+            assert value == pow(request.base, request.exponent, request.modulus)
+            assert cycles == cheapest.model_cycles(request)
+
     def test_backpressure_rejects_past_window_but_admits_elastic(self):
         m = random_odd_modulus(64, random.Random("bp"))
         requests = _requests(8, [m])

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.montgomery.params import MontgomeryContext
+from repro.montgomery.windowed import execute_schedule, schedule_for
 from repro.systolic.exponentiator import ModularExponentiator
+from repro.systolic.mmmc import MMMC
 from repro.systolic.timing import (
     exponentiation_cycle_bounds,
     exponentiation_cycles_measured_model,
@@ -79,43 +81,60 @@ class TestCycleAccounting:
         assert exp.cycles == c1 + c2
 
 
+def _windowed_on_mmmc(ctx, message, exponent, *, window=4, method="sliding"):
+    """A windowed schedule run on the cycle-accurate MMMC.
+
+    Returns ``(value, cycles, passes)``: the reduced result, the measured
+    cycles summed over every multiplier pass, and the pass count.
+    """
+    mmmc = MMMC(ctx.l)
+    cycles = []
+
+    def mont(ctx, x, y):
+        rec = mmmc.multiply(x, y, ctx.modulus)
+        cycles.append(rec.cycles)
+        return rec.result
+
+    sched = schedule_for(method, exponent, window)
+    value = execute_schedule(ctx, sched, message, mont=mont)
+    return value, sum(cycles), len(cycles)
+
+
 class TestWindowedThroughEngine:
     def test_matches_binary_result(self):
         ctx = MontgomeryContext(197)
         exp = ModularExponentiator(ctx, engine="rtl")
         e = 0xBEEF
         assert (
-            exp.exponentiate_windowed(55, e, window=3).result
+            _windowed_on_mmmc(ctx, 55, e, window=3)[0]
             == exp.exponentiate(55, e).result
             == pow(55, e, 197)
         )
 
     def test_saves_cycles_on_dense_exponents(self):
         ctx = MontgomeryContext(241)
-        exp = ModularExponentiator(ctx, engine="golden")
+        exp = ModularExponentiator(ctx, engine="rtl")
         e = (1 << 48) - 1
-        win = exp.exponentiate_windowed(5, e, window=4)
+        value, cycles, _ = _windowed_on_mmmc(ctx, 5, e, window=4)
         binr = exp.exponentiate(5, e)
-        assert win.result == binr.result
-        assert win.cycles < binr.cycles
+        assert value == binr.result
+        assert cycles < binr.cycles
 
     def test_methods(self):
         ctx = MontgomeryContext(197)
-        exp = ModularExponentiator(ctx, engine="golden")
         for method in ("binary", "mary", "sliding"):
-            assert exp.exponentiate_windowed(7, 1234, method=method).result == pow(
+            assert _windowed_on_mmmc(ctx, 7, 1234, method=method)[0] == pow(
                 7, 1234, 197
             )
         with pytest.raises(ParameterError):
-            exp.exponentiate_windowed(7, 3, method="psychic")
+            _windowed_on_mmmc(ctx, 7, 3, method="psychic")
 
     def test_cycles_accounted_per_pass(self):
         from repro.systolic.timing import mmm_cycles_corrected
 
         ctx = MontgomeryContext(197)
-        exp = ModularExponentiator(ctx, engine="golden")
-        run = exp.exponentiate_windowed(7, 0xFF, window=2)
-        assert run.cycles == run.num_multiplications * mmm_cycles_corrected(ctx.l)
+        _, cycles, passes = _windowed_on_mmmc(ctx, 7, 0xFF, window=2)
+        assert cycles == passes * mmm_cycles_corrected(ctx.l)
 
 
 class TestValidation:
